@@ -38,6 +38,15 @@ int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Get().CounterValue(name);
 }
 
+// Creates a matrix bound to `pool`, as an ExecutionContext binds a matrix
+// the first time it stores it.
+std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
+                                     MatrixBlock block) {
+  auto m = std::make_shared<MatrixObject>(std::move(block));
+  m->BindPool(pool);
+  return m;
+}
+
 int64_t RestoreCount() {
   return obs::MetricsRegistry::Get()
       .GetHistogram("bufferpool.restore_ns")
@@ -60,8 +69,7 @@ StormResult RunStorm(int64_t dim, int nobjs, int limit_objs,
   opt.limit_bytes = limit_objs * dim * dim * 8;
   opt.write_behind = write_behind;
   opt.prefetch = false;
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(opt);
 
   StormResult r;
   double stall_before = StallSeconds();
@@ -71,8 +79,8 @@ StormResult RunStorm(int64_t dim, int nobjs, int limit_objs,
   objs.reserve(static_cast<size_t>(nobjs));
   double sink = 0;
   for (int i = 0; i < nobjs; ++i) {
-    objs.push_back(std::make_shared<MatrixObject>(
-        MatrixBlock::Dense(dim, dim, static_cast<double>(i))));
+    objs.push_back(
+        Pooled(pool, MatrixBlock::Dense(dim, dim, static_cast<double>(i))));
     auto read = objs.back()->AcquireRead();
     if (read.ok()) {
       // ~4 flop-passes over the block — a compute-bound instruction mix
@@ -85,12 +93,11 @@ StormResult RunStorm(int64_t dim, int nobjs, int limit_objs,
       objs.back()->Release();
     }
   }
-  pool.Drain();
+  pool->Drain();
   r.wall_s = t.ElapsedSeconds();
   r.stall_s = StallSeconds() - stall_before;
   r.free_drops = CounterValue("bufferpool.free_drops") - drops_before;
   if (sink == 12345.6789) std::printf("%f\n", sink);  // keep the compute
-  MatrixObject::SetBufferPool(nullptr);
   return r;
 }
 
@@ -132,24 +139,21 @@ int64_t RunScan(int64_t dim, BufferPool::EvictionPolicy policy) {
   BufferPool::Options opt;
   opt.limit_bytes = 5 * dim * dim * 8;
   opt.policy = policy;
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
-  auto hot = std::make_shared<MatrixObject>(MatrixBlock::Dense(dim, dim, 1.0));
+  auto pool = std::make_shared<BufferPool>(opt);
+  auto hot = Pooled(pool, MatrixBlock::Dense(dim, dim, 1.0));
   for (int i = 0; i < 3; ++i) {
     auto r = hot->AcquireRead();
     if (r.ok()) hot->Release();
   }
   std::vector<std::shared_ptr<MatrixObject>> scan;
   for (int i = 0; i < 10; ++i) {
-    scan.push_back(
-        std::make_shared<MatrixObject>(MatrixBlock::Dense(dim, dim, 2.0)));
+    scan.push_back(Pooled(pool, MatrixBlock::Dense(dim, dim, 2.0)));
   }
-  pool.Drain();
+  pool->Drain();
   int64_t restores_before = RestoreCount();
   auto r = hot->AcquireRead();
   if (r.ok()) hot->Release();
   int64_t restores = RestoreCount() - restores_before;
-  MatrixObject::SetBufferPool(nullptr);
   return restores;
 }
 

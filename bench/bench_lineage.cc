@@ -26,7 +26,7 @@ double RunScript(const std::string& script, ReusePolicy policy, bool tracing,
   config.lineage_tracing = tracing;
   SystemDSContext ctx(config);
   Timer timer;
-  auto r = ctx.Execute(script, {}, {});
+  auto r = ctx.Execute(script, Inputs(), Outputs::None());
   if (!r.ok()) {
     std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
     return -1;

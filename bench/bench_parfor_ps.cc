@@ -37,7 +37,7 @@ int main() {
     for (const char* kind : {"for", "parfor"}) {
       SystemDSContext ctx;
       Timer t;
-      auto r = ctx.Execute(head + kind + body, {}, {"R"});
+      auto r = ctx.Execute(head + kind + body, Inputs(), Outputs("R"));
       if (!r.ok()) {
         std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
         return 1;

@@ -59,12 +59,13 @@ class OldMutexPool {
     int64_t chunk = (n + num_chunks - 1) / num_chunks;
     std::mutex jmu;
     std::condition_variable jcv;
-    int64_t outstanding = 0;
-    for (int64_t c = 0; c < num_chunks; ++c) {
+    // Every non-empty chunk is counted before the first Submit: workers
+    // decrement under jmu, so the counter is never written unlocked.
+    const int64_t tasks = (n + chunk - 1) / chunk;
+    int64_t outstanding = tasks;
+    for (int64_t c = 0; c < tasks; ++c) {
       int64_t b = begin + c * chunk;
       int64_t e = std::min(end, b + chunk);
-      if (b >= e) continue;
-      ++outstanding;
       Submit([&, b, e] {
         fn(b, e);
         std::lock_guard<std::mutex> lock(jmu);

@@ -110,7 +110,7 @@ std::vector<DataPtr> MakeRows(int count) {
       row.DenseRow(0)[j] = 0.01 * static_cast<double>(i + j);
     }
     row.MarkNnzDirty();
-    rows.push_back(SystemDSContext::Matrix(row));
+    rows.push_back(std::make_shared<MatrixObject>(row));
   }
   return rows;
 }
@@ -122,8 +122,8 @@ int main() {
   std::string scale = env == nullptr ? "small" : env;
   const int requests = scale == "tiny" ? 200 : scale == "paper" ? 20000 : 2000;
 
-  DataPtr weights =
-      SystemDSContext::Matrix(MatrixBlock::Dense(kFeatures, kFeatures, 0.01));
+  DataPtr weights = std::make_shared<MatrixObject>(
+      MatrixBlock::Dense(kFeatures, kFeatures, 0.01));
   std::vector<DataPtr> rows = MakeRows(64);
 
   // Kernels single-threaded: service workers are the only parallelism.

@@ -34,7 +34,7 @@ std::string MakeScript(int64_t rows, int64_t cols) {
 double RunOnce(const std::string& script) {
   SystemDSContext ctx;
   Timer timer;
-  auto r = ctx.Execute(script, {}, {});
+  auto r = ctx.Execute(script, Inputs(), Outputs::None());
   if (!r.ok()) {
     std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
     return -1;

@@ -111,13 +111,14 @@ struct RunOptions {
 };
 
 StatusOr<ScriptResult> RunProgram(Program* program, const DMLConfig* config,
-                                  LineageCache* cache, BufferPool* pool,
+                                  LineageCache* cache,
+                                  std::shared_ptr<BufferPool> pool,
                                   const std::map<std::string, DataPtr>& inputs,
                                   const std::vector<std::string>& outputs,
                                   const RunOptions& run = {}) {
-  MatrixObject::SetBufferPool(pool);
   ExecutionContext ec(program, config);
   ec.SetCache(cache);
+  ec.SetPool(std::move(pool));
   ec.SetRecompileAllowed(run.allow_recompile);
   if (run.deadline.has_value()) {
     // Fail fast if the deadline already passed before any work.
@@ -150,7 +151,7 @@ StatusOr<ScriptResult> RunProgram(Program* program, const DMLConfig* config,
     ec.SetCheckpoints(checkpoints.get());
   }
   for (const auto& [name, value] : inputs) {
-    ec.Vars().Set(name, value);
+    ec.SetVar(name, value);
   }
   if (ec.TracingEnabled()) {
     // Trace bound inputs by value identity, not variable name: with a
@@ -317,8 +318,9 @@ SystemDSContext::Builder& SystemDSContext::Builder::Resume(bool on) {
 
 std::unique_ptr<SystemDSContext> SystemDSContext::Builder::Build() const {
   auto ctx = std::make_unique<SystemDSContext>(config_);
-  if (!trace_path_.empty()) ctx->EnableTracing(trace_path_);
-  if (!metrics_path_.empty()) ctx->EnableMetricsExport(metrics_path_);
+  ctx->trace_path_ = trace_path_;
+  ctx->metrics_path_ = metrics_path_;
+  if (!trace_path_.empty()) obs::Tracer::Get().Enable();
   return ctx;
 }
 
@@ -333,7 +335,6 @@ SystemDSContext::SystemDSContext(DMLConfig config)
   pool_ = std::make_shared<BufferPool>(pool_options);
   cache_ = std::make_shared<LineageCache>(config_->lineage_cache_limit,
                                           config_->reuse_policy);
-  MatrixObject::SetBufferPool(pool_.get());
   if (config_->faults.enabled) {
     FaultInjector::Get().Configure(config_->faults);
     owns_fault_injection_ = true;
@@ -343,18 +344,6 @@ SystemDSContext::SystemDSContext(DMLConfig config)
 SystemDSContext::~SystemDSContext() {
   FlushObservability();  // best-effort; failures only matter on explicit calls
   if (owns_fault_injection_) FaultInjector::Get().Disable();
-  // Only clear the process-global pool if it is still ours: a PreparedScript
-  // or a second context may have installed a pool that must stay live.
-  MatrixObject::ClearBufferPool(pool_.get());
-}
-
-void SystemDSContext::EnableTracing(const std::string& path) {
-  trace_path_ = path;
-  obs::Tracer::Get().Enable();
-}
-
-void SystemDSContext::EnableMetricsExport(const std::string& path) {
-  metrics_path_ = path;
 }
 
 Status SystemDSContext::FlushObservability() {
@@ -375,35 +364,10 @@ Status SystemDSContext::FlushObservability() {
   return Status::Ok();
 }
 
-DataPtr SystemDSContext::Matrix(MatrixBlock m) {
-  return std::make_shared<MatrixObject>(std::move(m));
-}
-DataPtr SystemDSContext::Frame(FrameBlock f) {
-  return std::make_shared<FrameObject>(std::move(f));
-}
-DataPtr SystemDSContext::Scalar(double v) {
-  return ScalarObject::MakeDouble(v);
-}
-DataPtr SystemDSContext::ScalarInt(int64_t v) {
-  return ScalarObject::MakeInt(v);
-}
-DataPtr SystemDSContext::ScalarString(std::string v) {
-  return ScalarObject::MakeString(std::move(v));
-}
-DataPtr SystemDSContext::ScalarBool(bool v) {
-  return ScalarObject::MakeBool(v);
-}
-
 StatusOr<ScriptResult> SystemDSContext::Execute(const std::string& script,
                                                 const Inputs& inputs,
                                                 const Outputs& outputs,
                                                 const ExecuteOptions& options) {
-  // The lineage cache holds values from prior executions; its policy is
-  // refreshed from the current config (benchmarks toggle reuse).
-  if (cache_->policy() != config_->reuse_policy) {
-    cache_ = std::make_shared<LineageCache>(config_->lineage_cache_limit,
-                                            config_->reuse_policy);
-  }
   SymbolInfoMap infos;
   for (const auto& [name, value] : inputs.Bindings()) {
     infos[name] = InfoOf(value);
@@ -413,16 +377,8 @@ StatusOr<ScriptResult> SystemDSContext::Execute(const std::string& script,
   RunOptions run;
   run.deadline = options.deadline;
   run.cancel = options.cancel;
-  return RunProgram(program.get(), config_.get(), cache_.get(), pool_.get(),
+  return RunProgram(program.get(), config_.get(), cache_.get(), pool_,
                     inputs.Bindings(), outputs.Names(), run);
-}
-
-StatusOr<ScriptResult> SystemDSContext::Execute(
-    const std::string& script, const std::map<std::string, DataPtr>& inputs,
-    const std::vector<std::string>& outputs) {
-  Inputs typed;
-  for (const auto& [name, value] : inputs) typed.Bind(name, value);
-  return Execute(script, typed, Outputs::FromVector(outputs));
 }
 
 StatusOr<std::unique_ptr<PreparedScript>> SystemDSContext::Prepare(
@@ -446,25 +402,6 @@ StatusOr<std::string> SystemDSContext::Explain(
   return program->Explain();
 }
 
-void PreparedScript::BindMatrix(const std::string& name, MatrixBlock value) {
-  bindings_[name] = std::make_shared<MatrixObject>(std::move(value));
-}
-void PreparedScript::BindFrame(const std::string& name, FrameBlock value) {
-  bindings_[name] = std::make_shared<FrameObject>(std::move(value));
-}
-void PreparedScript::BindDouble(const std::string& name, double value) {
-  bindings_[name] = ScalarObject::MakeDouble(value);
-}
-void PreparedScript::BindInt(const std::string& name, int64_t value) {
-  bindings_[name] = ScalarObject::MakeInt(value);
-}
-void PreparedScript::BindBool(const std::string& name, bool value) {
-  bindings_[name] = ScalarObject::MakeBool(value);
-}
-void PreparedScript::BindString(const std::string& name, std::string value) {
-  bindings_[name] = ScalarObject::MakeString(std::move(value));
-}
-
 StatusOr<ScriptResult> PreparedScript::Execute(
     const Inputs& inputs, const Outputs& outputs,
     const ExecuteOptions& options) const {
@@ -474,16 +411,8 @@ StatusOr<ScriptResult> PreparedScript::Execute(
   run.allow_recompile = false;
   run.deadline = options.deadline;
   run.cancel = options.cancel;
-  return RunProgram(program_.get(), config_.get(), cache_.get(), pool_.get(),
+  return RunProgram(program_.get(), config_.get(), cache_.get(), pool_,
                     inputs.Bindings(), outputs.Names(), run);
-}
-
-StatusOr<ScriptResult> PreparedScript::Execute(
-    const std::vector<std::string>& outputs) {
-  RunOptions run;
-  run.allow_recompile = false;
-  return RunProgram(program_.get(), config_.get(), cache_.get(), pool_.get(),
-                    bindings_, outputs, run);
 }
 
 }  // namespace sysds

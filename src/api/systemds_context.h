@@ -133,24 +133,18 @@ struct ExecuteOptions {
 ///
 /// A PreparedScript co-owns the config, lineage cache, and buffer pool of
 /// the context that prepared it, so it remains valid (and executable) after
-/// that context is destroyed.
+/// that context is destroyed. Its executions bind matrices to that pool;
+/// every bound matrix also co-owns the pool, so lineage-cached blocks and
+/// results may outlive both the context and the PreparedScript.
 class PreparedScript {
  public:
   /// Thread-safe execution with per-call bindings.
   StatusOr<ScriptResult> Execute(const Inputs& inputs, const Outputs& outputs,
                                  const ExecuteOptions& options = {}) const;
 
-  /// Deprecated mutable-binding surface. Not thread-safe: bindings are
-  /// stored on the PreparedScript itself. Prefer Execute(Inputs, Outputs).
-  void BindMatrix(const std::string& name, MatrixBlock value);
-  void BindFrame(const std::string& name, FrameBlock value);
-  void BindDouble(const std::string& name, double value);
-  void BindInt(const std::string& name, int64_t value);
-  void BindBool(const std::string& name, bool value);
-  void BindString(const std::string& name, std::string value);
-
-  /// Deprecated: executes with the Bind*-accumulated bindings.
-  StatusOr<ScriptResult> Execute(const std::vector<std::string>& outputs);
+  /// The buffer pool this script's executions store matrices in (the
+  /// preparing context's pool).
+  BufferPool* Pool() const { return pool_.get(); }
 
  private:
   friend class SystemDSContext;
@@ -158,7 +152,6 @@ class PreparedScript {
   std::shared_ptr<const DMLConfig> config_;
   std::shared_ptr<LineageCache> cache_;
   std::shared_ptr<BufferPool> pool_;
-  std::map<std::string, DataPtr> bindings_;
 };
 
 /// The MLContext-like entry point: owns configuration, the buffer pool, and
@@ -224,9 +217,12 @@ class SystemDSContext {
     /// compression enablement upgrades kDense to kAuto at compile time.
     Builder& TransformOutput(TransformOutputFormat format);
     Builder& Statistics(bool on = true);
-    /// Folds SystemDSContext::EnableTracing into construction.
+    /// Turns on the span tracer (src/obs/); the Chrome trace-event JSON is
+    /// written to `path` by FlushObservability() or the destructor,
+    /// whichever comes first.
     Builder& EnableTracing(std::string path);
-    /// Folds SystemDSContext::EnableMetricsExport into construction.
+    /// Writes the metrics-registry JSON export to `path` at flush or
+    /// destruction time.
     Builder& EnableMetricsExport(std::string path);
     /// Chaos testing: the built context configures the process-wide
     /// FaultInjector with this FaultConfig at construction and disables it
@@ -267,22 +263,10 @@ class SystemDSContext {
   /// Read-only view of the configuration fixed at construction.
   const DMLConfig& config() const { return *config_; }
 
-  /// Deprecated escape hatch: mutable config reference. Mutating it after
-  /// construction is incompatible with concurrent execution; kept only so
-  /// pre-Builder call sites compile. Use Builder instead.
-  DMLConfig& Config() { return *config_; }
-
   LineageCache* Cache() { return cache_.get(); }
+  /// This context's buffer pool: every matrix its executions store stays
+  /// in it for life (see BufferPool).
   BufferPool* Pool() { return pool_.get(); }
-
-  /// Deprecated: prefer Builder::EnableTracing. Turns on the span tracer
-  /// (src/obs/); the Chrome trace-event JSON is written to `path` by
-  /// FlushObservability() or the destructor, whichever comes first.
-  void EnableTracing(const std::string& path);
-
-  /// Deprecated: prefer Builder::EnableMetricsExport. Writes the
-  /// metrics-registry JSON export to `path` at flush/destruction time.
-  void EnableMetricsExport(const std::string& path);
 
   /// Writes any configured trace/metrics outputs now and disables tracing.
   /// Idempotent; also invoked by the destructor.
@@ -292,13 +276,6 @@ class SystemDSContext {
   StatusOr<ScriptResult> Execute(const std::string& script,
                                  const Inputs& inputs, const Outputs& outputs,
                                  const ExecuteOptions& options = {});
-
-  /// Deprecated shim over the raw-map binding surface; prefer the
-  /// Inputs/Outputs overload.
-  StatusOr<ScriptResult> Execute(
-      const std::string& script,
-      const std::map<std::string, DataPtr>& inputs = {},
-      const std::vector<std::string>& outputs = {});
 
   /// Precompiles a script for repeated low-latency execution (JMLC). The
   /// returned PreparedScript co-owns the context's cache/pool/config and
@@ -314,16 +291,8 @@ class SystemDSContext {
       const std::string& script,
       const std::map<std::string, SymbolInfo>& input_infos = {});
 
-  /// Convenience helpers to build raw input bindings (deprecated surface).
-  static DataPtr Matrix(MatrixBlock m);
-  static DataPtr Frame(FrameBlock f);
-  static DataPtr Scalar(double v);
-  static DataPtr ScalarInt(int64_t v);
-  static DataPtr ScalarString(std::string v);
-  static DataPtr ScalarBool(bool v);
-
  private:
-  std::shared_ptr<DMLConfig> config_;
+  std::shared_ptr<const DMLConfig> config_;
   std::shared_ptr<BufferPool> pool_;
   std::shared_ptr<LineageCache> cache_;
   std::string trace_path_;

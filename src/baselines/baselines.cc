@@ -164,7 +164,7 @@ StatusOr<SweepTimings> RunSweepSysDS(const SweepWorkload& workload,
       "  B[, i] = lmDS(X, y, 0, reg)\n"
       "}\n"
       "write(B, '" + workload.out_csv + "')\n";
-  auto result = ctx.Execute(script, {}, {});
+  auto result = ctx.Execute(script, Inputs(), Outputs::None());
   SetGemmKernel(prev);
   if (!result.ok()) return result.status();
   t.total_seconds = total.ElapsedSeconds();

@@ -66,9 +66,7 @@ class FormatRegistry {
 
 // ---------------------------------------------------------------------------
 // Unified entry points: one Read/Write pair for every format, keyed by the
-// descriptor. These replace the per-format free functions of matrix_io.h
-// (ReadMatrixCsv, WriteMatrixBinary, ...), which survive only as deprecated
-// shims over this API for one release.
+// descriptor.
 
 /// Reads a matrix in the format named by desc.kind.
 StatusOr<MatrixBlock> Read(const std::string& path,

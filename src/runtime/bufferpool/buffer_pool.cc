@@ -79,11 +79,6 @@ BufferPool::BufferPool(const Options& options)
 }
 
 BufferPool::~BufferPool() {
-  // If the process-global pool pointer still names this pool, clear it now:
-  // MatrixObjects may outlive their pool (e.g. lineage-cached blocks held by
-  // a PreparedScript whose pool member is destroyed first), and their
-  // destructors must see null rather than call Unregister on freed memory.
-  MatrixObject::ClearBufferPool(this);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -112,8 +107,12 @@ std::string BufferPool::SpillPathFor(const MatrixObject* obj) const {
 void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = entries_.find(obj);
+  bool pinned = false;
   if (it == entries_.end()) {
     it = entries_.emplace(obj, Entry{}).first;
+    // A pin taken before the object had an entry (an AcquireRead racing
+    // its MatrixObject::BindPool) was not recorded; take it from the object.
+    pinned = obj->PinCount() > 0;
   }
   Entry& e = it->second;
   if (e.resident) {
@@ -130,6 +129,13 @@ void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
     e.restoring = false;
   }
   e.size = size_bytes;
+  if (pinned) {
+    e.pinned = true;
+    pinned_bytes_ += size_bytes;
+    Metrics().pinned_bytes->Set(pinned_bytes_);
+    Metrics().headroom->Set(limit_bytes_ - pinned_bytes_ -
+                            inflight_restore_bytes_);
+  }
   int target = 1;  // Am / the single LRU queue
   if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) {
     target = 0;  // probationary A1in until the object proves re-reference

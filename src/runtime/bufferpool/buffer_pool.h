@@ -62,10 +62,15 @@ class MatrixObject;
 /// variable, not on a second read). A restored object keeps its spill file
 /// and stays clean, so re-evicting it is again a free drop.
 ///
-/// MatrixObject calls Register/Touch/Unregister/NotePinned; eviction and
-/// write-behind call back into MatrixObject::EvictTo/WriteBack/DropIfClean.
-/// Lock order is strictly pool -> object; the object never calls the pool
-/// while holding its own mutex.
+/// One pool per SystemDSContext. A MatrixObject joins a pool through
+/// MatrixObject::BindPool, which the ExecutionContext calls the first time
+/// it stores the object; the object stays in that pool for life and holds
+/// a shared reference to it, so the pool outlives every registered object.
+/// The bound object calls Register/Touch/Unregister/NotePinned on its own
+/// pool; eviction and write-behind call back into
+/// MatrixObject::EvictTo/WriteBack/DropIfClean. Lock order is strictly
+/// pool -> object; the object never calls the pool while holding its own
+/// mutex.
 class BufferPool {
  public:
   enum class EvictionPolicy {

@@ -15,8 +15,6 @@
 namespace sysds {
 
 namespace {
-std::atomic<BufferPool*> g_buffer_pool{nullptr};
-
 // Acquire-path hit/miss accounting: a miss means the block was evicted and
 // had to be restored from its spill file.
 obs::Counter* PoolHits() {
@@ -150,22 +148,11 @@ std::string ScalarObject::AsString() const {
   }
 }
 
-void MatrixObject::SetBufferPool(BufferPool* pool) { g_buffer_pool = pool; }
-
-BufferPool* MatrixObject::GetBufferPool() { return g_buffer_pool.load(); }
-
-void MatrixObject::ClearBufferPool(BufferPool* expected) {
-  g_buffer_pool.compare_exchange_strong(expected, nullptr);
-}
-
 MatrixObject::MatrixObject(MatrixBlock block) {
   rows_ = block.Rows();
   cols_ = block.Cols();
   nnz_ = block.NonZeros();
   block_ = std::make_shared<MatrixBlock>(std::move(block));
-  if (BufferPool* pool = g_buffer_pool.load()) {
-    pool->Register(this, block_->EstimateSizeInBytes());
-  }
 }
 
 MatrixObject::MatrixObject(CompressedMatrixBlock block) {
@@ -174,16 +161,28 @@ MatrixObject::MatrixObject(CompressedMatrixBlock block) {
   nnz_ = block.NonZeros();
   compressed_ =
       std::make_shared<const CompressedMatrixBlock>(std::move(block));
-  if (BufferPool* pool = g_buffer_pool.load()) {
-    // Compressed blocks are accounted at their compressed size — the point
-    // of §3.4: more live data fits under the same memory budget.
-    pool->Register(this, compressed_->EstimateSizeInBytes());
-  }
 }
 
 MatrixObject::~MatrixObject() {
-  if (BufferPool* pool = g_buffer_pool.load()) pool->Unregister(this);
+  if (pool_ != nullptr) pool_->Unregister(this);
   if (!evicted_path_.empty()) std::remove(evicted_path_.c_str());
+}
+
+void MatrixObject::BindPool(std::shared_ptr<BufferPool> pool) {
+  BufferPool* bound;
+  int64_t size;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pool_ != nullptr || pool == nullptr) return;
+    pool_ = std::move(pool);
+    bound = pool_.get();
+    // Compressed blocks are accounted at their compressed size — the point
+    // of §3.4: more live data fits under the same memory budget.
+    size = EstimateSizeLocked();
+  }
+  // Outside the object lock (lock order is pool -> object). Register reads
+  // the pin count itself, so a pin taken concurrently is not lost.
+  bound->Register(this, size);
 }
 
 StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
@@ -195,6 +194,7 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
   bool prefetch_hit = false;
   bool first_pin = false;
   int64_t size = 0;
+  BufferPool* pool = nullptr;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++pin_count_;
@@ -225,6 +225,7 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
     prefetched_ = false;
     if (restored || first_pin) size = EstimateSizeLocked();
     result = block_.get();
+    pool = pool_.get();
   }
   if (restored) {
     PoolMisses()->Add(1);
@@ -232,7 +233,7 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
     PoolHits()->Add(1);
   }
   if (prefetch_hit) PrefetchHits()->Add(1);
-  if (BufferPool* pool = g_buffer_pool.load()) {
+  if (pool != nullptr) {
     if (restored) pool->Register(this, size);
     pool->Touch(this);
     if (first_pin) pool->NotePinned(this, true);
@@ -241,17 +242,15 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
 }
 
 void MatrixObject::Release() {
-  bool last_unpin = false;
+  BufferPool* pool = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (pin_count_ > 0) {
       --pin_count_;
-      last_unpin = pin_count_ == 0;
+      if (pin_count_ == 0) pool = pool_.get();
     }
   }
-  if (last_unpin) {
-    if (BufferPool* pool = g_buffer_pool.load()) pool->NotePinned(this, false);
-  }
+  if (pool != nullptr) pool->NotePinned(this, false);
 }
 
 StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
@@ -260,6 +259,7 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
   bool prefetch_hit = false;
   bool first_pin = false;
   int64_t size = 0;
+  BufferPool* pool = nullptr;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     ++pin_count_;
@@ -282,6 +282,7 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
     prefetched_ = false;
     if (restored || first_pin) size = EstimateSizeLocked();
     result = compressed_.get();
+    pool = pool_.get();
   }
   if (restored) {
     PoolMisses()->Add(1);
@@ -289,7 +290,7 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
     PoolHits()->Add(1);
   }
   if (prefetch_hit) PrefetchHits()->Add(1);
-  if (BufferPool* pool = g_buffer_pool.load()) {
+  if (pool != nullptr) {
     if (restored) pool->Register(this, size);
     pool->Touch(this);
     if (first_pin) pool->NotePinned(this, true);

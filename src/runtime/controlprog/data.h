@@ -156,17 +156,19 @@ class MatrixObject final : public Data {
 
   std::string DebugString() const override;
 
-  /// Process-wide buffer pool used for eviction (set by the context).
-  static void SetBufferPool(BufferPool* pool);
+  /// Binds this object to `pool` and registers its resident payload there.
+  /// An object belongs to at most one pool for its whole life: once bound,
+  /// further calls are no-ops, so an object shared across contexts stays
+  /// in the pool that stored it first. The object keeps a shared reference
+  /// to its pool, so the pool outlives every object registered in it.
+  /// ExecutionContext::SetVar calls this on every matrix it stores.
+  void BindPool(std::shared_ptr<BufferPool> pool);
 
-  /// Clears the process-wide pool only if it still points at `expected`: a
-  /// context tearing down must not null out a newer context's pool.
-  static void ClearBufferPool(BufferPool* expected);
-
-  /// The process-wide pool (nullptr when disabled). Pressure consumers
-  /// (admission control, the compression rewrite, prefetch hints) use this
-  /// to reach Headroom()/Prefetch().
-  static BufferPool* GetBufferPool();
+  /// The pool this object is bound to (nullptr while unbound).
+  BufferPool* Pool() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pool_.get();
+  }
 
  private:
   // Single-flight restore. Requires `lock` held on entry; drops it around
@@ -205,6 +207,9 @@ class MatrixObject final : public Data {
   bool prefetched_ = false;
   std::condition_variable restore_cv_;
   std::string evicted_path_;
+  // Set once by BindPool, never reset: Register/Touch/NotePinned/
+  // Unregister all go to this pool.
+  std::shared_ptr<BufferPool> pool_;
   int64_t rows_ = 0, cols_ = 0, nnz_ = 0;
   int64_t pin_count_ = 0;
 };

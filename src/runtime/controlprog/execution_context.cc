@@ -96,7 +96,15 @@ StatusOr<FrameObject*> ExecutionContext::GetFrame(const Operand& op) const {
 }
 
 void ExecutionContext::SetOutput(const Operand& op, DataPtr value) {
-  vars_.Set(op.name, std::move(value));
+  SetVar(op.name, std::move(value));
+}
+
+void ExecutionContext::SetVar(const std::string& name, DataPtr value) {
+  if (pool_ != nullptr && value != nullptr &&
+      value->GetDataType() == DataType::kMatrix) {
+    static_cast<MatrixObject*>(value.get())->BindPool(pool_);
+  }
+  vars_.Set(name, std::move(value));
 }
 
 Status ExecutionContext::CheckInterrupt() const {
@@ -112,6 +120,7 @@ Status ExecutionContext::CheckInterrupt() const {
 std::unique_ptr<ExecutionContext> ExecutionContext::CreateChild() const {
   auto child = std::make_unique<ExecutionContext>(program_, config_);
   child->cache_ = cache_;
+  child->pool_ = pool_;
   child->federated_ = federated_;
   child->out_ = out_;
   child->has_deadline_ = has_deadline_;

@@ -53,8 +53,8 @@ class SymbolTable {
 
 /// Execution state threaded through the interpreter: symbol table, config,
 /// lineage, buffer pool, and the program (for function lookup). Child
-/// contexts (function calls, parfor workers) share program/config/cache but
-/// get their own symbol table and lineage map.
+/// contexts (function calls, parfor workers) share program/config/cache/
+/// pool but get their own symbol table and lineage map.
 class ExecutionContext {
  public:
   ExecutionContext(Program* program, const DMLConfig* config);
@@ -76,6 +76,17 @@ class ExecutionContext {
   StatusOr<FrameObject*> GetFrame(const Operand& op) const;
 
   void SetOutput(const Operand& op, DataPtr value);
+
+  /// Stores `value` under `name`. The one way a matrix enters this
+  /// context's variables: the first store binds it to this context's
+  /// buffer pool (MatrixObject::BindPool); later stores, here or in any
+  /// other context, leave it in that pool.
+  void SetVar(const std::string& name, DataPtr value);
+
+  /// The context's buffer pool (shared with child contexts); nullptr when
+  /// matrices are not pool-managed.
+  BufferPool* Pool() const { return pool_.get(); }
+  void SetPool(std::shared_ptr<BufferPool> pool) { pool_ = std::move(pool); }
 
   // Lineage: each context (root, function scope, parfor worker) owns its
   // own map of live variables to lineage items; the reuse cache is shared.
@@ -127,6 +138,7 @@ class ExecutionContext {
   SymbolTable vars_;
   std::unique_ptr<LineageMap> lineage_;
   LineageCache* cache_ = nullptr;
+  std::shared_ptr<BufferPool> pool_;
   FederatedRegistry* federated_ = nullptr;
   CheckpointManager* checkpoints_ = nullptr;
   std::ostream* out_ = &std::cout;

@@ -34,7 +34,7 @@ Status CompressInstr::Execute(ExecutionContext* ec) {
     // pool headroom below a few multiples of this matrix — compress even
     // below the static size gate; shrinking live data is cheaper than
     // spilling it.
-    BufferPool* pool = MatrixObject::GetBufferPool();
+    BufferPool* pool = ec->Pool();
     bool pressured = pool != nullptr && pool->UnderPressure(4 * size);
     if (!pressured) {
       compress_metrics::SkippedSmall()->Add(1);

@@ -24,12 +24,15 @@ namespace {
 // liveness pass already knows the loop's invariant reads and loop-carried
 // variables; everything resident is a cheap no-op.
 void PrefetchLoopOperands(ExecutionContext* ec, const LoopLiveness& live) {
-  BufferPool* pool = MatrixObject::GetBufferPool();
+  BufferPool* pool = ec->Pool();
   if (pool == nullptr || !pool->options().prefetch) return;
   auto hint = [&](const std::string& var) {
     DataPtr d = ec->Vars().GetOrNull(var);
     auto* m = dynamic_cast<MatrixObject*>(d.get());
-    if (m != nullptr && !m->HasPayload()) pool->Prefetch(m);
+    // An object shared from another context lives in that context's pool.
+    if (m != nullptr && m->Pool() == pool && !m->HasPayload()) {
+      pool->Prefetch(m);
+    }
   };
   for (const std::string& var : live.invariant_reads) hint(var);
   for (const std::string& var : live.checkpoint_vars) hint(var);
@@ -413,7 +416,7 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
   for (int64_t w = 0; w < k; ++w) {
     auto child = ec->CreateChild();
     for (const auto& [name, value] : ec->Vars().All()) {
-      child->Vars().Set(name, value);
+      child->SetVar(name, value);
       if (ec->TracingEnabled()) {
         LineageItemPtr li = ec->Lineage()->GetOrNull(name);
         if (li != nullptr) child->Lineage()->Set(name, li);
@@ -485,9 +488,9 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
     if (mergeable) {
       merged.MarkNnzDirty();
       merged.ExamSparsity();
-      ec->Vars().Set(var, std::make_shared<MatrixObject>(std::move(merged)));
+      ec->SetVar(var, std::make_shared<MatrixObject>(std::move(merged)));
     } else {
-      ec->Vars().Set(var, last_changed);
+      ec->SetVar(var, last_changed);
     }
     if (ec->TracingEnabled()) {
       ec->Lineage()->Set(var, LineageItem::Leaf(
@@ -531,7 +534,7 @@ Status FunctionBlock::Execute(ExecutionContext* caller,
     }
     const Param& p = params[static_cast<size_t>(target)];
     SYSDS_ASSIGN_OR_RETURN(DataPtr value, caller->Resolve(args[a]));
-    callee->Vars().Set(p.name, std::move(value));
+    callee->SetVar(p.name, std::move(value));
     bound[static_cast<size_t>(target)] = true;
     if (caller->TracingEnabled()) {
       callee->Lineage()->Set(p.name, OperandLineage(args[a], caller));
@@ -546,7 +549,7 @@ Status FunctionBlock::Execute(ExecutionContext* caller,
     }
     Operand lit = Operand::Literal(params[p].default_value);
     SYSDS_ASSIGN_OR_RETURN(DataPtr value, callee->Resolve(lit));
-    callee->Vars().Set(params[p].name, std::move(value));
+    callee->SetVar(params[p].name, std::move(value));
   }
 
   callee->SetRecompileAllowed(caller->RecompileAllowed());

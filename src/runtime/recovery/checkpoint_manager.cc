@@ -395,7 +395,7 @@ StatusOr<int64_t> CheckpointManager::TryResume(int loop_id,
                     "checkpoint resume: variable '" + v.name + "': " +
                         restored.status().message());
     }
-    ec->Vars().Set(v.name, std::move(restored).value());
+    ec->SetVar(v.name, std::move(restored).value());
     if (ec->TracingEnabled()) {
       // Restored state re-enters the trace as a leaf carrying the original
       // lineage key, so downstream tracing (and loop dedup) stays stable.

@@ -126,7 +126,7 @@ std::future<StatusOr<ScriptResult>> ScoringService::Submit(
                    " requests); retry with backoff"));
     }
     if (options_.admission_headroom_bytes > 0) {
-      if (BufferPool* pool = MatrixObject::GetBufferPool()) {
+      if (BufferPool* pool = it->second->script->Pool()) {
         int64_t headroom = pool->Headroom();
         if (headroom < options_.admission_headroom_bytes) {
           rejected_.fetch_add(1, std::memory_order_relaxed);

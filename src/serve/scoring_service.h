@@ -32,11 +32,13 @@ struct ServiceOptions {
   /// Deadline applied to requests that do not carry their own; zero means
   /// unlimited.
   std::chrono::nanoseconds default_deadline{0};
-  /// Memory-pressure admission (paper §2.3(3)): reject with kOom when the
-  /// buffer pool's real headroom (limit − pinned − in-flight restores)
-  /// drops below this many bytes. Backpressure kicks in before executions
-  /// start thrashing the spill device, and kOom is retryable — clients back
-  /// off exactly as for a full queue. Zero disables the check (default).
+  /// Memory-pressure admission (paper §2.3(3)): reject a model's request
+  /// with kOom when the real headroom (limit − pinned − in-flight restores)
+  /// of that model's buffer pool — the pool of the context that prepared
+  /// it — drops below this many bytes. Backpressure kicks in before
+  /// executions start thrashing the spill device, and kOom is retryable —
+  /// clients back off exactly as for a full queue. Zero disables the check
+  /// (default).
   int64_t admission_headroom_bytes = 0;
 };
 

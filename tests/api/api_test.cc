@@ -17,10 +17,11 @@ TEST(ApiTest, PreparedScriptRepeatedExecution) {
       ctx.Prepare("y = sum(X) * f\n", {{"X", mat}, {"f", sc}});
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   for (int i = 1; i <= 3; ++i) {
-    (*prepared)->BindMatrix(
-        "X", MatrixBlock::Dense(4, 4, static_cast<double>(i)));
-    (*prepared)->BindDouble("f", 10.0);
-    auto r = (*prepared)->Execute({"y"});
+    auto r = (*prepared)->Execute(
+        Inputs()
+            .Matrix("X", MatrixBlock::Dense(4, 4, static_cast<double>(i)))
+            .Scalar("f", 10.0),
+        Outputs("y"));
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_DOUBLE_EQ(*r->GetDouble("y"), 16.0 * i * 10.0);
   }
@@ -42,11 +43,12 @@ TEST(ApiTest, PreparedScriptBindsAllScalarTypes) {
       "flag = !b\n",
       {{"d", sc}, {"i", si}, {"b", sb}, {"s", ss}});
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  (*prepared)->BindDouble("d", 1.5);
-  (*prepared)->BindInt("i", 2);
-  (*prepared)->BindBool("b", false);
-  (*prepared)->BindString("s", "hi");
-  auto r = (*prepared)->Execute({"r", "msg", "flag"});
+  auto r = (*prepared)->Execute(Inputs()
+                                    .Scalar("d", 1.5)
+                                    .Integer("i", 2)
+                                    .Boolean("b", false)
+                                    .String("s", "hi"),
+                                Outputs("r", "msg", "flag"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("r"), 3.5);
   EXPECT_EQ(*r->GetString("msg"), "hi!");
@@ -60,8 +62,8 @@ TEST(ApiTest, FrameInputOutput) {
   f.SetString(1, 0, "b");
   f.SetDouble(0, 1, 1);
   f.SetDouble(1, 1, 2);
-  auto r = ctx.Execute("n = nrow(F)\nG = F\n",
-                       {{"F", SystemDSContext::Frame(f)}}, {"n", "G"});
+  auto r = ctx.Execute("n = nrow(F)\nG = F\n", Inputs().Frame("F", f),
+                       Outputs("n", "G"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 2.0);
   EXPECT_EQ(r->GetFrame("G")->GetString(1, 0), "b");
@@ -69,7 +71,7 @@ TEST(ApiTest, FrameInputOutput) {
 
 TEST(ApiTest, MissingOutputReported) {
   SystemDSContext ctx;
-  auto r = ctx.Execute("x = 1\n", {}, {"x"});
+  auto r = ctx.Execute("x = 1\n", Inputs(), Outputs("x"));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->GetMatrix("x").ok());   // x is scalar, not matrix
   EXPECT_FALSE(r->GetDouble("nope").ok());
@@ -81,34 +83,31 @@ TEST(ApiTest, StatisticsCollection) {
   SystemDSContext ctx(config);
   Statistics::Get().Reset();
   auto r = ctx.Execute(
-      "X = rand(rows=50, cols=10, seed=1)\nY = t(X) %*% X\ns = sum(Y)\n", {},
-      {"s"});
+      "X = rand(rows=50, cols=10, seed=1)\nY = t(X) %*% X\ns = sum(Y)\n",
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok());
   std::string report = Statistics::Get().Report();
   EXPECT_NE(report.find("tsmm"), std::string::npos);
   EXPECT_NE(report.find("rand"), std::string::npos);
 }
 
-TEST(ApiTest, ReusePolicySwitchBetweenExecutions) {
-  DMLConfig config;
-  SystemDSContext ctx(config);
+TEST(ApiTest, FullReuseAcrossExecutions) {
+  auto ctx = SystemDSContext::Builder().Reuse(ReusePolicy::kFull).Build();
   const char* script =
       "X = rand(rows=100, cols=10, seed=1)\n"
       "s = sum(t(X) %*% X)\n";
-  auto r1 = ctx.Execute(script, {}, {"s"});
-  ASSERT_TRUE(r1.ok());
-  ctx.Config().reuse_policy = ReusePolicy::kFull;
-  auto r2 = ctx.Execute(script, {}, {"s"});
-  auto r3 = ctx.Execute(script, {}, {"s"});
-  ASSERT_TRUE(r2.ok() && r3.ok());
+  auto r1 = ctx->Execute(script, Inputs(), Outputs("s"));
+  auto r2 = ctx->Execute(script, Inputs(), Outputs("s"));
+  auto r3 = ctx->Execute(script, Inputs(), Outputs("s"));
+  ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
   EXPECT_DOUBLE_EQ(*r1->GetDouble("s"), *r3->GetDouble("s"));
-  // Third run reuses across executions (shared cache).
-  EXPECT_GT(ctx.Cache()->Stats().full_hits, 0);
+  // Later runs reuse across executions (shared cache).
+  EXPECT_GT(ctx->Cache()->Stats().full_hits, 0);
 }
 
 TEST(ApiTest, CompileErrorsSurfaceBeforeExecution) {
   SystemDSContext ctx;
-  auto r = ctx.Execute("x = unknownFn(1)\n", {}, {});
+  auto r = ctx.Execute("x = unknownFn(1)\n", Inputs(), Outputs::None());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kValidateError);
 }
@@ -209,7 +208,8 @@ TEST(ApiTest, ReuseDoesNotAliasDistinctBoundInputs) {
   EXPECT_DOUBLE_EQ(*r2->GetDouble("y"), 256.0);   // 4x4 entries of 16
 
   // Re-binding the same object does reuse cached intermediates.
-  DataPtr shared = SystemDSContext::Matrix(MatrixBlock::Dense(4, 4, 3.0));
+  DataPtr shared =
+      std::make_shared<MatrixObject>(MatrixBlock::Dense(4, 4, 3.0));
   auto r3 = (*prepared)->Execute(Inputs().Bind("X", shared), Outputs("y"));
   int64_t hits_before = ctx->Cache()->Stats().full_hits;
   auto r4 = (*prepared)->Execute(Inputs().Bind("X", shared), Outputs("y"));

@@ -49,7 +49,7 @@ TEST(LineageApiTest, OutputsCarrySerializedTraces) {
       "X = rand(rows=20, cols=5, seed=7)\n"
       "y = rand(rows=20, cols=1, seed=8)\n"
       "B = lmDS(X, y, 0, 0.001)\n",
-      {}, {"B"});
+      Inputs(), Outputs("B"));
   ASSERT_TRUE(r.ok()) << r.status();
   auto trace = r->GetLineage("B");
   ASSERT_TRUE(trace.ok()) << trace.status();
@@ -63,7 +63,7 @@ TEST(LineageApiTest, OutputsCarrySerializedTraces) {
 
 TEST(LineageApiTest, NoTraceWithoutTracing) {
   SystemDSContext ctx;
-  auto r = ctx.Execute("x = 1\n", {}, {"x"});
+  auto r = ctx.Execute("x = 1\n", Inputs(), Outputs("x"));
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->GetLineage("x").ok());
 }
@@ -78,8 +78,8 @@ TEST(LineageApiTest, IdenticalScriptsYieldIdenticalTraces) {
       "B = t(X) %*% X + diag(matrix(0.1, 3, 1))\n";
   SystemDSContext c1(config);
   SystemDSContext c2(config);
-  auto r1 = c1.Execute(script, {}, {"B"});
-  auto r2 = c2.Execute(script, {}, {"B"});
+  auto r1 = c1.Execute(script, Inputs(), Outputs("B"));
+  auto r2 = c2.Execute(script, Inputs(), Outputs("B"));
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(*r1->GetLineage("B"), *r2->GetLineage("B"));
 }

@@ -25,11 +25,17 @@ namespace fs = std::filesystem;
 
 class BufferPoolAsyncTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    MatrixObject::SetBufferPool(nullptr);
-    FaultInjector::Get().Disable();
-  }
+  void TearDown() override { FaultInjector::Get().Disable(); }
 };
+
+// Creates a matrix bound to `pool`, as an ExecutionContext binds a matrix
+// the first time it stores it.
+std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
+                                     MatrixBlock block) {
+  auto m = std::make_shared<MatrixObject>(std::move(block));
+  m->BindPool(pool);
+  return m;
+}
 
 FaultConfig SpillErrorConfig(double prob) {
   FaultConfig c;
@@ -52,18 +58,17 @@ int64_t RestoreCount() {
 TEST_F(BufferPoolAsyncTest, WriteBehindTurnsEvictionsIntoFreeDrops) {
   BufferPool::Options opt;
   opt.limit_bytes = 200 * 1024;  // fits ~2 of the 80KB blocks
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(opt);
   int64_t drops_before = CounterValue("bufferpool.free_drops");
 
   std::vector<std::shared_ptr<MatrixObject>> objs;
   for (int i = 0; i < 6; ++i) {
-    objs.push_back(std::make_shared<MatrixObject>(
-        MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
+    objs.push_back(Pooled(
+        pool, MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
   }
-  pool.Drain();
-  EXPECT_LE(pool.CachedBytes(), opt.limit_bytes);
-  EXPECT_GT(pool.EvictionCount(), 0);
+  pool->Drain();
+  EXPECT_LE(pool->CachedBytes(), opt.limit_bytes);
+  EXPECT_GT(pool->EvictionCount(), 0);
   // The background writer cleaned blocks so at least some evictions were
   // free drops instead of synchronous spill writes.
   EXPECT_GT(CounterValue("bufferpool.free_drops"), drops_before);
@@ -77,13 +82,12 @@ TEST_F(BufferPoolAsyncTest, WriteBehindTurnsEvictionsIntoFreeDrops) {
 }
 
 TEST_F(BufferPoolAsyncTest, RestoredObjectStaysCleanAndReEvictsForFree) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 5.0));
-  pool.SetLimit(64);  // force a synchronous spill
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto obj = Pooled(pool, MatrixBlock::Dense(64, 64, 5.0));
+  pool->SetLimit(64);  // force a synchronous spill
   ASSERT_FALSE(obj->HasPayload());
 
-  pool.SetLimit(1 << 30);
+  pool->SetLimit(1 << 30);
   auto r = obj->AcquireRead();
   ASSERT_TRUE(r.ok()) << r.status();
   obj->Release();
@@ -94,8 +98,8 @@ TEST_F(BufferPoolAsyncTest, RestoredObjectStaysCleanAndReEvictsForFree) {
   int64_t sync_before = CounterValue("bufferpool.sync_spills");
   int64_t wb_before = CounterValue("bufferpool.writebacks");
   int64_t drops_before = CounterValue("bufferpool.free_drops");
-  pool.SetLimit(64);
-  pool.Drain();
+  pool->SetLimit(64);
+  pool->Drain();
   EXPECT_FALSE(obj->HasPayload());
   EXPECT_EQ(CounterValue("bufferpool.sync_spills"), sync_before);
   EXPECT_EQ(CounterValue("bufferpool.writebacks"), wb_before);
@@ -108,13 +112,11 @@ TEST_F(BufferPoolAsyncTest, RestoredObjectStaysCleanAndReEvictsForFree) {
 }
 
 TEST_F(BufferPoolAsyncTest, ConcurrentAcquiresCoalesceIntoOneRestore) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj =
-      std::make_shared<MatrixObject>(MatrixBlock::Dense(200, 200, 2.0));
-  pool.SetLimit(64);
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto obj = Pooled(pool, MatrixBlock::Dense(200, 200, 2.0));
+  pool->SetLimit(64);
   ASSERT_FALSE(obj->HasPayload());
-  pool.SetLimit(1 << 30);
+  pool->SetLimit(1 << 30);
 
   const int kThreads = 8;
   int64_t reads_before = RestoreCount();
@@ -138,17 +140,16 @@ TEST_F(BufferPoolAsyncTest, ConcurrentAcquiresCoalesceIntoOneRestore) {
 }
 
 TEST_F(BufferPoolAsyncTest, PrefetchRestoresAheadOfDemand) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 9.0));
-  pool.SetLimit(64);
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto obj = Pooled(pool, MatrixBlock::Dense(64, 64, 9.0));
+  pool->SetLimit(64);
   ASSERT_FALSE(obj->HasPayload());
-  pool.SetLimit(1 << 30);
+  pool->SetLimit(1 << 30);
 
   int64_t hits_before = CounterValue("bufferpool.prefetch_hits");
   int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
-  pool.Prefetch(obj.get());
-  pool.Drain();
+  pool->Prefetch(obj.get());
+  pool->Drain();
   EXPECT_TRUE(obj->HasPayload()) << "prefetch restored ahead of demand";
   EXPECT_GT(CounterValue("bufferpool.prefetch_issued"), issued_before);
 
@@ -168,10 +169,8 @@ TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
     BufferPool::Options opt;
     opt.limit_bytes = 400 * 1024;
     opt.policy = policy;
-    BufferPool pool(opt);
-    MatrixObject::SetBufferPool(&pool);
-    auto hot =
-        std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0));
+    auto pool = std::make_shared<BufferPool>(opt);
+    auto hot = Pooled(pool, MatrixBlock::Dense(100, 100, 1.0));
     // Re-reference: promoted to the protected queue under 2Q.
     for (int i = 0; i < 3; ++i) {
       auto r = hot->AcquireRead();
@@ -181,12 +180,10 @@ TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
     // One-touch scan, 2x the pool size.
     std::vector<std::shared_ptr<MatrixObject>> scan;
     for (int i = 0; i < 10; ++i) {
-      scan.push_back(
-          std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 2.0)));
+      scan.push_back(Pooled(pool, MatrixBlock::Dense(100, 100, 2.0)));
     }
-    pool.Drain();
+    pool->Drain();
     bool hot_survived = hot->HasPayload();
-    MatrixObject::SetBufferPool(nullptr);
     return hot_survived;
   };
   EXPECT_TRUE(run_scan(BufferPool::EvictionPolicy::k2Q));
@@ -196,28 +193,27 @@ TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
 TEST_F(BufferPoolAsyncTest, PinnedStormExportsNegativeHeadroom) {
   BufferPool::Options opt;
   opt.limit_bytes = 100 * 1024;
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(opt);
   // Pin three ~80KB objects: pinned bytes alone exceed the limit.
   std::vector<std::shared_ptr<MatrixObject>> pinned;
   for (int i = 0; i < 3; ++i) {
-    pinned.push_back(std::make_shared<MatrixObject>(
-        MatrixBlock::Dense(100, 100, static_cast<double>(i))));
+    pinned.push_back(Pooled(
+        pool, MatrixBlock::Dense(100, 100, static_cast<double>(i))));
     ASSERT_TRUE(pinned.back()->AcquireRead().ok());
   }
-  pool.Drain();
+  pool->Drain();
   // No pinned block was evicted, even though the pool is far over limit.
   for (const auto& p : pinned) EXPECT_TRUE(p->HasPayload());
-  EXPECT_GT(pool.PinnedBytes(), opt.limit_bytes);
-  EXPECT_LT(pool.Headroom(), 0);
-  EXPECT_TRUE(pool.UnderPressure(1));
+  EXPECT_GT(pool->PinnedBytes(), opt.limit_bytes);
+  EXPECT_LT(pool->Headroom(), 0);
+  EXPECT_TRUE(pool->UnderPressure(1));
 
   // Unpinning restores normal eviction behaviour.
   for (const auto& p : pinned) p->Release();
-  EXPECT_GE(pool.Headroom(), 0);
-  pool.SetLimit(1024);
-  pool.Drain();
-  EXPECT_LE(pool.CachedBytes(), 1024);
+  EXPECT_GE(pool->Headroom(), 0);
+  pool->SetLimit(1024);
+  pool->Drain();
+  EXPECT_LE(pool->CachedBytes(), 1024);
 }
 
 TEST_F(BufferPoolAsyncTest, ServiceRejectsWithOomWhenHeadroomLow) {
@@ -245,10 +241,15 @@ TEST_F(BufferPoolAsyncTest, ServiceRejectsWithOomWhenHeadroomLow) {
 
   // Pin the pool full: real headroom (limit - pinned) goes negative and
   // admission fast-rejects with the retryable kOom, same as a full queue.
+  // Storing each matrix in a script variable binds it to the context's
+  // pool.
   std::vector<std::shared_ptr<MatrixObject>> pinned;
   for (int i = 0; i < 3; ++i) {
     pinned.push_back(
         std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0)));
+    ASSERT_TRUE(ctx->Execute("n = nrow(P)", Inputs().Bind("P", pinned.back()),
+                             Outputs("n"))
+                    .ok());
     ASSERT_TRUE(pinned.back()->AcquireRead().ok());
   }
   auto rejected =
@@ -267,8 +268,7 @@ TEST_F(BufferPoolAsyncTest, ServiceRejectsWithOomWhenHeadroomLow) {
 TEST_F(BufferPoolAsyncTest, FailedWritebackStaysDirtyAndRetryable) {
   BufferPool::Options opt;
   opt.limit_bytes = 200 * 1024;
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(opt);
   int64_t wb_failures_before =
       CounterValue("fault.bufferpool.writeback_failures");
   std::vector<std::shared_ptr<MatrixObject>> objs;
@@ -277,18 +277,18 @@ TEST_F(BufferPoolAsyncTest, FailedWritebackStaysDirtyAndRetryable) {
     // resident (degraded but correct), never drop unwritten data.
     ScopedFaultInjection chaos(SpillErrorConfig(1.0));
     for (int i = 0; i < 6; ++i) {
-      objs.push_back(std::make_shared<MatrixObject>(
-          MatrixBlock::Dense(100, 100, static_cast<double>(i))));
+      objs.push_back(Pooled(
+          pool, MatrixBlock::Dense(100, 100, static_cast<double>(i))));
     }
-    pool.Drain();
+    pool->Drain();
     EXPECT_GT(CounterValue("fault.bufferpool.writeback_failures"),
               wb_failures_before);
     for (const auto& o : objs) EXPECT_TRUE(o->HasPayload());
   }
   // Once the spill device recovers the same pressure drains normally.
-  pool.SetLimit(100 * 1024);
-  pool.Drain();
-  EXPECT_LE(pool.CachedBytes(), 100 * 1024);
+  pool->SetLimit(100 * 1024);
+  pool->Drain();
+  EXPECT_LE(pool->CachedBytes(), 100 * 1024);
   for (int i = 0; i < 6; ++i) {
     auto r = objs[static_cast<size_t>(i)]->AcquireRead();
     ASSERT_TRUE(r.ok()) << r.status();
@@ -300,17 +300,16 @@ TEST_F(BufferPoolAsyncTest, FailedWritebackStaysDirtyAndRetryable) {
 TEST_F(BufferPoolAsyncTest, CorruptWritebackSurfacesAsCorruptAndRetryable) {
   BufferPool::Options opt;
   opt.limit_bytes = 1 << 30;
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 4.0));
-  pool.SetLimit(64);  // spill + drop
+  auto pool = std::make_shared<BufferPool>(opt);
+  auto obj = Pooled(pool, MatrixBlock::Dense(64, 64, 4.0));
+  pool->SetLimit(64);  // spill + drop
   ASSERT_FALSE(obj->HasPayload());
-  pool.SetLimit(1 << 30);
+  pool->SetLimit(1 << 30);
 
   // Corrupt the spill file the way a crash mid-writeback would: flip a
   // payload byte. The CRC footer must catch it as kCorrupt (retryable),
   // never deserialize garbage.
-  std::string path = pool.SpillPathFor(obj.get());
+  std::string path = pool->SpillPathFor(obj.get());
   ASSERT_TRUE(fs::exists(path));
   std::string original;
   {
@@ -347,16 +346,16 @@ TEST_F(BufferPoolAsyncTest, RegisterUnregisterRaceWithInflightWriteback) {
   // background writer holds). Primarily a tsan target.
   BufferPool::Options opt;
   opt.limit_bytes = 64 * 1024;  // every object overflows the pool
-  BufferPool pool(opt);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(opt);
   const int kThreads = 4, kIters = 25;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        auto obj = std::make_shared<MatrixObject>(
-            MatrixBlock::Dense(60, 60, static_cast<double>(t * kIters + i)));
+        auto obj =
+            Pooled(pool, MatrixBlock::Dense(
+                             60, 60, static_cast<double>(t * kIters + i)));
         auto r = obj->AcquireRead();
         if (!r.ok() ||
             (*r)->Get(0, 0) != static_cast<double>(t * kIters + i)) {
@@ -370,9 +369,9 @@ TEST_F(BufferPoolAsyncTest, RegisterUnregisterRaceWithInflightWriteback) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  pool.Drain();
-  EXPECT_EQ(pool.CachedBytes(), 0);
-  EXPECT_EQ(pool.PinnedBytes(), 0);
+  pool->Drain();
+  EXPECT_EQ(pool->CachedBytes(), 0);
+  EXPECT_EQ(pool->PinnedBytes(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,11 +14,17 @@ namespace {
 
 class BufferPoolTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    MatrixObject::SetBufferPool(nullptr);
-    FaultInjector::Get().Disable();
-  }
+  void TearDown() override { FaultInjector::Get().Disable(); }
 };
+
+// Creates a matrix bound to `pool`, as an ExecutionContext binds a matrix
+// the first time it stores it.
+std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
+                                     MatrixBlock block) {
+  auto m = std::make_shared<MatrixObject>(std::move(block));
+  m->BindPool(pool);
+  return m;
+}
 
 FaultConfig SpillErrorConfig(double prob) {
   FaultConfig c;
@@ -33,28 +39,26 @@ int64_t FaultCounter(const std::string& name) {
 }
 
 TEST_F(BufferPoolTest, TracksRegisteredBytes) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto m = std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0));
-  EXPECT_GE(pool.CachedBytes(), 100 * 100 * 8);
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto m = Pooled(pool, MatrixBlock::Dense(100, 100, 1.0));
+  EXPECT_GE(pool->CachedBytes(), 100 * 100 * 8);
   m.reset();
-  EXPECT_EQ(pool.CachedBytes(), 0);
+  EXPECT_EQ(pool->CachedBytes(), 0);
 }
 
 TEST_F(BufferPoolTest, EvictsLruAndRestoresTransparently) {
   // Pool fits ~2 of the 80KB blocks.
-  BufferPool pool(200 * 1024);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(200 * 1024);
   std::vector<std::shared_ptr<MatrixObject>> objs;
   for (int i = 0; i < 5; ++i) {
-    objs.push_back(std::make_shared<MatrixObject>(
-        MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
+    objs.push_back(Pooled(
+        pool, MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
   }
   // With write-behind the pool may float between the soft and hard limit
   // until the background writer catches up; Drain() observes steady state.
-  pool.Drain();
-  EXPECT_GT(pool.EvictionCount(), 0);
-  EXPECT_LE(pool.CachedBytes(), 200 * 1024);
+  pool->Drain();
+  EXPECT_GT(pool->EvictionCount(), 0);
+  EXPECT_LE(pool->CachedBytes(), 200 * 1024);
   // The first object was evicted; acquiring restores the exact contents.
   EXPECT_FALSE(objs[0]->IsCached());
   auto restored = objs[0]->AcquireRead();
@@ -65,31 +69,26 @@ TEST_F(BufferPoolTest, EvictsLruAndRestoresTransparently) {
 }
 
 TEST_F(BufferPoolTest, PinnedObjectsAreNotEvicted) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto pinned =
-      std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 7.0));
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto pinned = Pooled(pool, MatrixBlock::Dense(100, 100, 7.0));
   ASSERT_TRUE(pinned->AcquireRead().ok());  // pin
-  pool.SetLimit(1024);  // force eviction pressure
+  pool->SetLimit(1024);  // force eviction pressure
   // Allocate more to trigger eviction attempts.
-  auto other =
-      std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 8.0));
+  auto other = Pooled(pool, MatrixBlock::Dense(100, 100, 8.0));
   EXPECT_TRUE(pinned->IsCached());  // survived because pinned
   pinned->Release();
 }
 
 TEST_F(BufferPoolTest, SparseBlocksSurviveEviction) {
-  BufferPool pool(64 * 1024);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(64 * 1024);
   MatrixBlock sparse = MatrixBlock::Sparse(500, 500);
   sparse.Set(3, 7, 1.5);
   sparse.Set(400, 499, -2.5);
-  auto obj = std::make_shared<MatrixObject>(std::move(sparse));
+  auto obj = Pooled(pool, std::move(sparse));
   // Push it out with dense blocks.
   std::vector<std::shared_ptr<MatrixObject>> filler;
   for (int i = 0; i < 4; ++i) {
-    filler.push_back(
-        std::make_shared<MatrixObject>(MatrixBlock::Dense(100, 100, 1.0)));
+    filler.push_back(Pooled(pool, MatrixBlock::Dense(100, 100, 1.0)));
   }
   auto restored = obj->AcquireRead();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -100,25 +99,23 @@ TEST_F(BufferPoolTest, SparseBlocksSurviveEviction) {
 }
 
 TEST_F(BufferPoolTest, MetadataAvailableWhileEvicted) {
-  BufferPool pool(1024);  // everything evicts
-  MatrixObject::SetBufferPool(&pool);
-  auto a = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 32, 1.0));
-  auto b = std::make_shared<MatrixObject>(MatrixBlock::Dense(16, 8, 1.0));
+  auto pool = std::make_shared<BufferPool>(1024);  // everything evicts
+  auto a = Pooled(pool, MatrixBlock::Dense(64, 32, 1.0));
+  auto b = Pooled(pool, MatrixBlock::Dense(16, 8, 1.0));
   EXPECT_EQ(a->Rows(), 64);
   EXPECT_EQ(a->Cols(), 32);
   EXPECT_EQ(a->NonZeros(), 64 * 32);
 }
 
 TEST_F(BufferPoolTest, SpillFailureRepinsAndKeepsAccountingConsistent) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
+  auto pool = std::make_shared<BufferPool>(1 << 30);
   std::vector<std::shared_ptr<MatrixObject>> objs;
   for (int i = 0; i < 4; ++i) {
-    objs.push_back(std::make_shared<MatrixObject>(
-        MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
+    objs.push_back(Pooled(
+        pool, MatrixBlock::Dense(100, 100, static_cast<double>(i + 1))));
   }
-  int64_t tracked = pool.CachedBytes();
-  int64_t evictions_before = pool.EvictionCount();
+  int64_t tracked = pool->CachedBytes();
+  int64_t evictions_before = pool->EvictionCount();
   int64_t repins_before = FaultCounter("fault.bufferpool.spill_repins");
   int64_t retries_before = FaultCounter("fault.bufferpool.spill_retries");
 
@@ -126,18 +123,18 @@ TEST_F(BufferPoolTest, SpillFailureRepinsAndKeepsAccountingConsistent) {
   // in memory without corrupting LRU/byte accounting.
   {
     ScopedFaultInjection chaos(SpillErrorConfig(1.0));
-    pool.SetLimit(1024);
+    pool->SetLimit(1024);
     for (const auto& o : objs) EXPECT_TRUE(o->IsCached());
-    EXPECT_EQ(pool.CachedBytes(), tracked);  // nothing untracked or leaked
-    EXPECT_EQ(pool.EvictionCount(), evictions_before);
+    EXPECT_EQ(pool->CachedBytes(), tracked);  // nothing untracked or leaked
+    EXPECT_EQ(pool->EvictionCount(), evictions_before);
     EXPECT_GT(FaultCounter("fault.bufferpool.spill_retries"), retries_before);
     EXPECT_GT(FaultCounter("fault.bufferpool.spill_repins"), repins_before);
   }
 
   // Once the spill device recovers, the same pressure evicts normally.
-  pool.SetLimit(1023);  // re-trigger the eviction pass
-  EXPECT_GT(pool.EvictionCount(), evictions_before);
-  EXPECT_LE(pool.CachedBytes(), 1023);
+  pool->SetLimit(1023);  // re-trigger the eviction pass
+  EXPECT_GT(pool->EvictionCount(), evictions_before);
+  EXPECT_LE(pool->CachedBytes(), 1023);
   // Evicted contents restore intact.
   auto restored = objs[0]->AcquireRead();
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -146,10 +143,9 @@ TEST_F(BufferPoolTest, SpillFailureRepinsAndKeepsAccountingConsistent) {
 }
 
 TEST_F(BufferPoolTest, RestoreFailurePropagatesAndStaysRetryable) {
-  BufferPool pool(1 << 30);
-  MatrixObject::SetBufferPool(&pool);
-  auto obj = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 3.0));
-  pool.SetLimit(64);  // spill it (injection off, so the write succeeds)
+  auto pool = std::make_shared<BufferPool>(1 << 30);
+  auto obj = Pooled(pool, MatrixBlock::Dense(64, 64, 3.0));
+  pool->SetLimit(64);  // spill it (injection off, so the write succeeds)
   ASSERT_FALSE(obj->IsCached());
 
   int64_t retries_before = FaultCounter("fault.bufferpool.restore_retries");

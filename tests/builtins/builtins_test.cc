@@ -11,7 +11,7 @@ namespace {
 ScriptResult RunScript(const std::string& script,
                        const std::vector<std::string>& outputs) {
   SystemDSContext ctx;
-  auto r = ctx.Execute(script, {}, outputs);
+  auto r = ctx.Execute(script, Inputs(), Outputs::FromVector(outputs));
   EXPECT_TRUE(r.ok()) << r.status() << "\nscript:\n" << script;
   return r.ok() ? *r : ScriptResult();
 }

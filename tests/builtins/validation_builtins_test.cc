@@ -8,7 +8,7 @@ namespace {
 ScriptResult RunScript(const std::string& script,
                        const std::vector<std::string>& outputs) {
   SystemDSContext ctx;
-  auto r = ctx.Execute(script, {}, outputs);
+  auto r = ctx.Execute(script, Inputs(), Outputs::FromVector(outputs));
   EXPECT_TRUE(r.ok()) << r.status() << "\nscript:\n" << script;
   return r.ok() ? *r : ScriptResult();
 }
@@ -98,7 +98,7 @@ TEST(FrameIndexingTest, RowAndColumnSlicing) {
       "H = F[, 2:3]\n"
       "n = nrow(G)\n"
       "c = ncol(H)\n",
-      {{"F", SystemDSContext::Frame(f)}}, {"G", "H", "n", "c"});
+      Inputs().Frame("F", f), Outputs("G", "H", "n", "c"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 2.0);
   EXPECT_DOUBLE_EQ(*r->GetDouble("c"), 2.0);

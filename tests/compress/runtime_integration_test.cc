@@ -20,11 +20,6 @@
 namespace sysds {
 namespace {
 
-class CompressIntegrationTest : public ::testing::Test {
- protected:
-  void TearDown() override { MatrixObject::SetBufferPool(nullptr); }
-};
-
 // Low-cardinality input: the planner should always find this worthwhile.
 MatrixBlock Categorical(int64_t rows, int64_t cols, int card, uint64_t seed) {
   MatrixBlock m = MatrixBlock::Dense(rows, cols);
@@ -53,7 +48,7 @@ int64_t Counter(const std::string& name) {
 // The lmDS-style pattern from the paper: a sweep loop re-using one
 // read-only dataset. X %*% w is bit-exact under compression, so the
 // accumulated scalar must be *identical*, not just close.
-TEST_F(CompressIntegrationTest, ForLoopSweepMatchesUncompressedExactly) {
+TEST(CompressIntegrationTest, ForLoopSweepMatchesUncompressedExactly) {
   const std::string script =
       "acc = 0\n"
       "for (i in 1:6) {\n"
@@ -86,7 +81,7 @@ TEST_F(CompressIntegrationTest, ForLoopSweepMatchesUncompressedExactly) {
   EXPECT_GT(hits_after, hits_before);
 }
 
-TEST_F(CompressIntegrationTest, WhileLoopSweepMatchesUncompressedExactly) {
+TEST(CompressIntegrationTest, WhileLoopSweepMatchesUncompressedExactly) {
   const std::string script =
       "acc = 0\n"
       "i = 0\n"
@@ -114,7 +109,7 @@ TEST_F(CompressIntegrationTest, WhileLoopSweepMatchesUncompressedExactly) {
 // t(X) %*% X and sum(X) reassociate adds in the compressed kernels: the
 // sweep must still agree to tight tolerance and actually hit the
 // compressed tsmm/aggregate paths.
-TEST_F(CompressIntegrationTest, TsmmAndAggregateSweepWithinTolerance) {
+TEST(CompressIntegrationTest, TsmmAndAggregateSweepWithinTolerance) {
   const std::string script =
       "acc = 0\n"
       "for (i in 1:4) {\n"
@@ -145,7 +140,7 @@ TEST_F(CompressIntegrationTest, TsmmAndAggregateSweepWithinTolerance) {
 
 // High-cardinality input: the planner's min-ratio gate rejects it, the
 // injected compress() passes through, and the script still runs correctly.
-TEST_F(CompressIntegrationTest, NotWorthwhileInputPassesThrough) {
+TEST(CompressIntegrationTest, NotWorthwhileInputPassesThrough) {
   const std::string script =
       "acc = 0\n"
       "for (i in 1:3) {\n"
@@ -175,7 +170,7 @@ TEST_F(CompressIntegrationTest, NotWorthwhileInputPassesThrough) {
 
 // Satellite regression: a NaN column routes to the uncompressed fallback
 // group and flows through the compressed dispatch losslessly.
-TEST_F(CompressIntegrationTest, NanColumnSurvivesCompressedSweep) {
+TEST(CompressIntegrationTest, NanColumnSurvivesCompressedSweep) {
   const std::string script =
       "for (i in 1:3) {\n"
       "  P = X %*% w\n"
@@ -210,7 +205,7 @@ TEST_F(CompressIntegrationTest, NanColumnSurvivesCompressedSweep) {
 // Buffer-pool integration: a compressed MatrixObject spills in compressed
 // form and restores losslessly, both through AcquireCompressed and through
 // the decompress-on-read path.
-TEST_F(CompressIntegrationTest, CompressedSpillAndRestore) {
+TEST(CompressIntegrationTest, CompressedSpillAndRestore) {
   MatrixBlock m = Categorical(500, 5, 6, 15);
   CompressedMatrixBlock c = CompressedMatrixBlock::Compress(m);
   ASSERT_GT(c.NumCompressedColumns(), 0);

@@ -13,7 +13,7 @@ namespace {
 
 double Eval(const std::string& expr_script, const std::string& out = "v") {
   SystemDSContext ctx;
-  auto r = ctx.Execute(expr_script, {}, {out});
+  auto r = ctx.Execute(expr_script, Inputs(), Outputs(out));
   EXPECT_TRUE(r.ok()) << r.status() << "\nscript:\n" << expr_script;
   if (!r.ok()) return std::nan("");
   auto d = r->GetDouble(out);
@@ -143,7 +143,8 @@ TEST(DmlOpsTest, CastsAndStrings) {
   EXPECT_DOUBLE_EQ(Eval("v = as.double(\"2.5\") * 2\n"), 5.0);
   EXPECT_DOUBLE_EQ(Eval("v = as.scalar(as.matrix(4))\n"), 4.0);
   SystemDSContext ctx;
-  auto r = ctx.Execute("s = toString(matrix(1, 2, 2))\nn = 1\n", {}, {"s"});
+  auto r = ctx.Execute("s = toString(matrix(1, 2, 2))\nn = 1\n", Inputs(),
+                       Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NE(r->GetString("s")->find("2x2"), std::string::npos);
 }
@@ -187,7 +188,7 @@ TEST(DmlOpsTest, ReadWriteRoundtripInDml) {
       "write(X, 'dml_ops_rw.csv')\n"
       "Y = read('dml_ops_rw.csv')\n"
       "v = sum((X - Y)^2)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("v"), 0.0, 1e-18);
   std::remove("dml_ops_rw.csv");
@@ -200,7 +201,7 @@ TEST(DmlOpsTest, BinaryFormatInDml) {
       "write(X, 'dml_ops_rw.bin', format='binary')\n"
       "Y = read('dml_ops_rw.bin', format='binary')\n"
       "v = sum((X - Y)^2)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("v"), 0.0);
   std::remove("dml_ops_rw.bin");

@@ -6,11 +6,10 @@ namespace sysds {
 namespace {
 
 // Helper: run a script and return the result (asserting success).
-ScriptResult RunScript(const std::string& script,
-                 const std::map<std::string, DataPtr>& inputs,
-                 const std::vector<std::string>& outputs) {
+ScriptResult RunScript(const std::string& script, const Inputs& inputs,
+                       const std::vector<std::string>& outputs) {
   SystemDSContext ctx;
-  auto result = ctx.Execute(script, inputs, outputs);
+  auto result = ctx.Execute(script, inputs, Outputs::FromVector(outputs));
   EXPECT_TRUE(result.ok()) << result.status().ToString() << "\nscript:\n"
                            << script;
   return result.ok() ? *result : ScriptResult();
@@ -134,9 +133,8 @@ TEST(EndToEndTest, ExternalInputsAndOutputs) {
   SystemDSContext ctx;
   MatrixBlock x = MatrixBlock::FromValues(2, 2, {1, 2, 3, 4});
   auto result = ctx.Execute("Y = X * 2 + s\n",
-                            {{"X", SystemDSContext::Matrix(x)},
-                             {"s", SystemDSContext::Scalar(1.0)}},
-                            {"Y"});
+                            Inputs().Matrix("X", x).Scalar("s", 1.0),
+                            Outputs("Y"));
   ASSERT_TRUE(result.ok()) << result.status();
   MatrixBlock y = *result->GetMatrix("Y");
   EXPECT_DOUBLE_EQ(y.Get(0, 0), 3.0);
@@ -208,7 +206,7 @@ TEST(EndToEndTest, IfElseBranchesAndElseIf) {
 
 TEST(EndToEndTest, ErrorUndefinedVariable) {
   SystemDSContext ctx;
-  auto result = ctx.Execute("y = x + 1\n", {}, {"y"});
+  auto result = ctx.Execute("y = x + 1\n", Inputs(), Outputs("y"));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kValidateError);
 }
@@ -216,14 +214,15 @@ TEST(EndToEndTest, ErrorUndefinedVariable) {
 TEST(EndToEndTest, ErrorDimensionMismatch) {
   SystemDSContext ctx;
   auto result = ctx.Execute(
-      "A = matrix(1, 2, 3)\nB = matrix(1, 2, 3)\nC = A %*% B\n", {}, {"C"});
+      "A = matrix(1, 2, 3)\nB = matrix(1, 2, 3)\nC = A %*% B\n", Inputs(),
+      Outputs("C"));
   EXPECT_FALSE(result.ok());
 }
 
 TEST(EndToEndTest, StopAbortsExecution) {
   SystemDSContext ctx;
-  auto result =
-      ctx.Execute("x = 1\nstop('custom failure')\ny = 2\n", {}, {});
+  auto result = ctx.Execute("x = 1\nstop('custom failure')\ny = 2\n",
+                            Inputs(), Outputs::None());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("custom failure"),
             std::string::npos);

@@ -19,7 +19,7 @@ TEST(EngineRobustnessTest, TinyBufferPoolStillCorrect) {
       "B = X * 2\n"
       "C = t(X) %*% X\n"
       "s = sum(A) + sum(B) + sum(C)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
 
   DMLConfig big;
@@ -30,7 +30,7 @@ TEST(EngineRobustnessTest, TinyBufferPoolStillCorrect) {
       "B = X * 2\n"
       "C = t(X) %*% X\n"
       "s = sum(A) + sum(B) + sum(C)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r2.ok());
   EXPECT_DOUBLE_EQ(*r->GetDouble("s"), *r2->GetDouble("s"));
   EXPECT_GT(ctx.Pool()->EvictionCount(), 0);
@@ -42,7 +42,7 @@ TEST(EngineRobustnessTest, RuntimeErrorsCarryInstructionContext) {
       "A = matrix(\"1 2 2 4\", 2, 2)\n"  // singular
       "b = matrix(1, 2, 1)\n"
       "x = solve(A, b)\n",
-      {}, {});
+      Inputs(), Outputs::None());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("singular"), std::string::npos);
   EXPECT_NE(r.status().message().find("[in solve]"), std::string::npos);
@@ -54,7 +54,7 @@ TEST(EngineRobustnessTest, IndexOutOfBoundsAtRuntime) {
       "X = matrix(1, 3, 3)\n"
       "i = 5\n"
       "v = as.scalar(X[i, 1])\n",
-      {}, {});
+      Inputs(), Outputs::None());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
@@ -66,7 +66,7 @@ TEST(EngineRobustnessTest, DivisionByZeroFollowsIeee) {
       "b = -1 / 0\n"
       "c = 0 / 0\n"
       "isnan = c != c\n",
-      {}, {"a", "b", "isnan"});
+      Inputs(), Outputs("a", "b", "isnan"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(std::isinf(*r->GetDouble("a")));
   EXPECT_LT(*r->GetDouble("b"), 0);
@@ -81,7 +81,7 @@ TEST(EngineRobustnessTest, EmptyMatrixOperations) {
       "s = sum(X)\n"
       "Y = rbind(X, matrix(1, 2, 5))\n"
       "m = nrow(Y)\n",
-      {}, {"n", "s", "m"});
+      Inputs(), Outputs("n", "s", "m"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 0.0);
   EXPECT_DOUBLE_EQ(*r->GetDouble("s"), 0.0);
@@ -95,7 +95,7 @@ TEST(EngineRobustnessTest, LargeLoopManyIterations) {
       "for (i in 1:10000) {\n"
       "  s = s + i\n"
       "}\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("s"), 10000.0 * 10001.0 / 2.0);
 }
@@ -111,7 +111,7 @@ TEST(EngineRobustnessTest, RecursionInUserFunctions) {
       "  }\n"
       "}\n"
       "v = fact(10)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("v"), 3628800.0);
 }
@@ -126,7 +126,7 @@ TEST(EngineRobustnessTest, ShadowingParameterNames) {
       "Y = f(X)\n"
       "a = sum(X)\n"
       "b = sum(Y)\n",
-      {}, {"a", "b"});
+      Inputs(), Outputs("a", "b"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("a"), 12.0);  // caller X untouched
   EXPECT_DOUBLE_EQ(*r->GetDouble("b"), 24.0);
@@ -139,7 +139,7 @@ TEST(EngineRobustnessTest, SparseDenseTransitionsInScript) {
       "Y = X + 1\n"                                            // densifies
       "Z = Y * (X != 0)\n"                                     // re-sparsifies
       "v = sum(Z) - sum(X) - sum(X != 0)\n",
-      {}, {"v"});
+      Inputs(), Outputs("v"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("v"), 0.0, 1e-9);
 }

@@ -147,8 +147,8 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   // in during dynamic recompilation once real dimensions are known.
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, 'fusion_rc.csv')\n", {},
-      {});
+      "X = rand(rows=80, cols=12, seed=13)\nwrite(X, 'fusion_rc.csv')\n",
+      Inputs(), Outputs::None());
   ASSERT_TRUE(g.ok()) << g.status();
 
   // The chain sits in a loop body — its own basic block — so by the time
@@ -167,7 +167,7 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   Statistics::Get().Reset();
   int64_t regions_before =
       obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
-  auto rf = fused_ctx.Execute(script, {}, {"s"});
+  auto rf = fused_ctx.Execute(script, Inputs(), Outputs("s"));
   int64_t regions_after =
       obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
   ASSERT_TRUE(rf.ok()) << rf.status();

@@ -32,7 +32,7 @@ TEST_P(AlgebraPropertyTest, TransposeIdentities) {
       "C = rand(rows=" + std::to_string(c.cols) +
       ", cols=" + std::to_string(c.rows) + ", seed=3)\n"
       "d2 = sum((t(A %*% C) - t(C) %*% t(A))^2)\n";
-  auto r = ctx.Execute(script, {}, {"d1", "d2"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("d1", "d2"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("d1"), 0.0, 1e-18);
   EXPECT_NEAR(*r->GetDouble("d2"), 0.0, 1e-12);
@@ -50,7 +50,7 @@ TEST_P(AlgebraPropertyTest, AggregationIdentities) {
       "d1 = abs(sum(A) - sum(rowSums(A)))\n"
       "d2 = abs(sum(A) - sum(colSums(A)))\n"
       "d3 = abs(trace(t(A) %*% A) - sum(A^2))\n";
-  auto r = ctx.Execute(script, {}, {"d1", "d2", "d3"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("d1", "d2", "d3"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("d1"), 0.0, 1e-9);
   EXPECT_NEAR(*r->GetDouble("d2"), 0.0, 1e-9);
@@ -70,7 +70,7 @@ TEST_P(AlgebraPropertyTest, LmDsCgEquivalence) {
       "B1 = lmDS(X, y, 0, 0.01)\n"
       "B2 = lmCG(X, y, 0, 0.01, 1e-14, 500)\n"
       "d = sum((B1 - B2)^2) / max(sum(B1^2), 1e-300)\n";
-  auto r = ctx.Execute(script, {}, {"d"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("d"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NEAR(*r->GetDouble("d"), 0.0, 1e-8);
 }
@@ -89,7 +89,7 @@ TEST_P(AlgebraPropertyTest, SliceAndRebindRoundtrip) {
       "B = rbind(A[1:h, ], A[(h+1):nrow(A), ])\n"
       "C = cbind(A[, 1], A[, 2:ncol(A)])\n"
       "d = sum((A - B)^2) + sum((A - C)^2)\n";
-  auto r = ctx.Execute(script, {}, {"d"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("d"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("d"), 0.0);
 }
@@ -114,7 +114,7 @@ TEST_P(ReusePolicyPropertyTest, SteplmInvariantUnderPolicy) {
     DMLConfig config;
     config.reuse_policy = policy;
     SystemDSContext ctx(config);
-    auto r = ctx.Execute(script, {}, {"sig"});
+    auto r = ctx.Execute(script, Inputs(), Outputs("sig"));
     EXPECT_TRUE(r.ok()) << r.status();
     return r.ok() ? *r->GetDouble("sig") : -1.0;
   };

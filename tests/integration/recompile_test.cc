@@ -11,8 +11,8 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   // recompile against live metadata (§2.3(3)).
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, 'recomp_x.csv')\n", {},
-      {});
+      "X = rand(rows=80, cols=12, seed=1)\nwrite(X, 'recomp_x.csv')\n",
+      Inputs(), Outputs::None());
   ASSERT_TRUE(g.ok()) << g.status();
 
   DMLConfig config;
@@ -24,7 +24,7 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
       "A = t(X) %*% X\n"
       "n = nrow(X)\n"
       "s = sum(A)\n",
-      {}, {"n", "s"});
+      Inputs(), Outputs("n", "s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 80.0);
   EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
@@ -36,8 +36,8 @@ TEST(RecompileTest, DisabledRecompilationStillCorrect) {
   // only plan choices, never results.
   SystemDSContext gen;
   auto g = gen.Execute(
-      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, 'recomp_y.csv')\n", {},
-      {});
+      "X = rand(rows=40, cols=6, seed=2)\nwrite(X, 'recomp_y.csv')\n", Inputs(),
+      Outputs::None());
   ASSERT_TRUE(g.ok());
   DMLConfig config;
   config.dynamic_recompilation = false;
@@ -45,7 +45,7 @@ TEST(RecompileTest, DisabledRecompilationStillCorrect) {
   auto r = ctx.Execute(
       "X = read('recomp_y.csv')\n"
       "s = sum(t(X) %*% X)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("s"), 0.0);
   std::remove("recomp_y.csv");
@@ -64,7 +64,7 @@ TEST(RecompileTest, LoopWithGrowingMatrix) {
       "c = ncol(Xg)\n"
       "A = t(Xg) %*% Xg\n"
       "n = nrow(A)\n",
-      {}, {"c", "n"});
+      Inputs(), Outputs("c", "n"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("c"), 6.0);
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 6.0);
@@ -79,7 +79,7 @@ TEST(ParamServTest, DmlLevelParamservBuiltin) {
       "w = paramserv(features=X, labels=y, workers=2, epochs=40,\n"
       "              batchsize=32, lr=0.3, mode='BSP')\n"
       "err = sum((w - wtrue)^2)\n",
-      {}, {"err"});
+      Inputs(), Outputs("err"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_LT(*r->GetDouble("err"), 1e-2);
 }
@@ -95,7 +95,7 @@ TEST(ParamServTest, AspModeAndLogisticObjective) {
       "              objective='logistic')\n"
       "pred = (X %*% w) > 0\n"
       "acc = sum(pred == y) / 300\n",
-      {}, {"acc"});
+      Inputs(), Outputs("acc"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("acc"), 0.9);
 }

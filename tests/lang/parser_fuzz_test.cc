@@ -54,7 +54,7 @@ TEST(ParserFuzzTest, RandomScriptsThroughFullCompiler) {
     auto parsed = ParseDML(script);
     if (!parsed.ok()) continue;
     SystemDSContext ctx;
-    auto result = ctx.Execute(script, {}, {});
+    auto result = ctx.Execute(script, Inputs(), Outputs::None());
     (void)result;  // ok or clean error; crash = test failure
   }
   SUCCEED();

@@ -61,7 +61,7 @@ TEST(LineageDedupTest, DistinctControlFlowPathsGetDistinctIds) {
       "    acc = acc - i\n"
       "  }\n"
       "}\n",
-      {}, {"acc"});
+      Inputs(), Outputs("acc"));
   ASSERT_TRUE(r.ok()) << r.status();
   // acc is a scalar: control-flow over scalars does not even need dedup
   // nodes (scalars are traced by value); the path registry stays small.
@@ -84,7 +84,7 @@ TEST(LineageDedupTest, MatrixLoopPathsRegistered) {
       "  }\n"
       "}\n"
       "s = sum(A)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   // Exactly two distinct paths despite 30 iterations.
   EXPECT_EQ(Statistics::Get().GetCounter("lineage.dedup_paths"), 2);
@@ -101,12 +101,12 @@ TEST(LineageDedupTest, ResultsUnchangedByDedup) {
       "s = sum(w)\n";
   DMLConfig plain;
   SystemDSContext c1(plain);
-  auto r1 = c1.Execute(script, {}, {"s"});
+  auto r1 = c1.Execute(script, Inputs(), Outputs("s"));
   DMLConfig dedup;
   dedup.lineage_tracing = true;
   dedup.lineage_dedup = true;
   SystemDSContext c2(dedup);
-  auto r2 = c2.Execute(script, {}, {"s"});
+  auto r2 = c2.Execute(script, Inputs(), Outputs("s"));
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ(*r1->GetDouble("s"), *r2->GetDouble("s"));
 }

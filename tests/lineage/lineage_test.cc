@@ -93,13 +93,13 @@ TEST(LineageReuseTest, SweepResultsIdenticalWithReuse) {
       "}\n";
   DMLConfig off;
   SystemDSContext ctx_off(off);
-  auto r1 = ctx_off.Execute(script, {}, {"B"});
+  auto r1 = ctx_off.Execute(script, Inputs(), Outputs("B"));
   ASSERT_TRUE(r1.ok()) << r1.status();
 
   DMLConfig on;
   on.reuse_policy = ReusePolicy::kFull;
   SystemDSContext ctx_on(on);
-  auto r2 = ctx_on.Execute(script, {}, {"B"});
+  auto r2 = ctx_on.Execute(script, Inputs(), Outputs("B"));
   ASSERT_TRUE(r2.ok()) << r2.status();
 
   EXPECT_TRUE(r1->GetMatrix("B")->EqualsApprox(*r2->GetMatrix("B"), 1e-12));
@@ -118,13 +118,13 @@ TEST(LineageReuseTest, PartialReuseCompensationCorrect) {
       "A2 = t(Xi) %*% Xi\n";
   DMLConfig off;
   SystemDSContext ctx_off(off);
-  auto r1 = ctx_off.Execute(script, {}, {"A2"});
+  auto r1 = ctx_off.Execute(script, Inputs(), Outputs("A2"));
   ASSERT_TRUE(r1.ok()) << r1.status();
 
   DMLConfig on;
   on.reuse_policy = ReusePolicy::kPartial;
   SystemDSContext ctx_on(on);
-  auto r2 = ctx_on.Execute(script, {}, {"A2"});
+  auto r2 = ctx_on.Execute(script, Inputs(), Outputs("A2"));
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->GetMatrix("A2")->EqualsApprox(*r2->GetMatrix("A2"), 1e-9));
   EXPECT_GE(ctx_on.Cache()->Stats().partial_hits, 1);
@@ -141,7 +141,7 @@ TEST(LineageReuseTest, DifferentSeedsNotConflated) {
   DMLConfig on;
   on.reuse_policy = ReusePolicy::kFull;
   SystemDSContext ctx(on);
-  auto r = ctx.Execute(script, {}, {"sa", "sb"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("sa", "sb"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_NE(*r->GetDouble("sa"), *r->GetDouble("sb"));
 }
@@ -154,7 +154,7 @@ TEST(LineageReuseTest, NonDeterministicRandNeverReused) {
   DMLConfig on;
   on.reuse_policy = ReusePolicy::kFull;
   SystemDSContext ctx(on);
-  auto r = ctx.Execute(script, {}, {"d"});
+  auto r = ctx.Execute(script, Inputs(), Outputs("d"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(*r->GetDouble("d"), 0.0);
 }
@@ -164,7 +164,7 @@ TEST(LineageTracingTest, TraceAvailableWithoutReuse) {
   config.lineage_tracing = true;
   SystemDSContext ctx(config);
   auto r = ctx.Execute("X = rand(rows=5, cols=5, seed=1)\nY = t(X) %*% X\n",
-                       {}, {"Y"});
+                       Inputs(), Outputs("Y"));
   ASSERT_TRUE(r.ok());
   // No reuse configured: zero cache activity.
   EXPECT_EQ(ctx.Cache()->Stats().full_hits, 0);

@@ -29,17 +29,19 @@ TEST(ObsIntegrationTest, TraceCoversCompileCpBufferPoolAndLineage) {
   std::string trace_path =
       std::string(::testing::TempDir()) + "obs_integration_trace.json";
   {
-    SystemDSContext ctx(config);
-    ctx.EnableTracing(trace_path);
-    auto r = ctx.Execute(
+    auto ctx = SystemDSContext::Builder()
+                   .WithConfig(config)
+                   .EnableTracing(trace_path)
+                   .Build();
+    auto r = ctx->Execute(
         "A = rand(rows=100, cols=100, seed=1)\n"
         "B = rand(rows=100, cols=100, seed=2)\n"
         "C = A %*% B\n"
         "s = sum(C)\n"
         "t = sum(C)\n",  // recomputation: lineage cache probe + reuse
-        {}, {"s"});
+        Inputs(), Outputs("s"));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_TRUE(ctx.FlushObservability().ok());
+    ASSERT_TRUE(ctx->FlushObservability().ok());
   }
 
   std::ifstream in(trace_path);
@@ -89,10 +91,10 @@ TEST(ObsIntegrationTest, MetricsExportWritesRegistryJson) {
   std::string metrics_path =
       std::string(::testing::TempDir()) + "obs_integration_metrics.json";
   {
-    SystemDSContext ctx;
-    ctx.EnableMetricsExport(metrics_path);
-    auto r = ctx.Execute("X = rand(rows=20, cols=20, seed=3)\ns = sum(X)\n",
-                         {}, {"s"});
+    auto ctx =
+        SystemDSContext::Builder().EnableMetricsExport(metrics_path).Build();
+    auto r = ctx->Execute("X = rand(rows=20, cols=20, seed=3)\ns = sum(X)\n",
+                          Inputs(), Outputs("s"));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }  // destructor flushes
 

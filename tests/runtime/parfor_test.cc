@@ -11,7 +11,7 @@ ScriptResult RunScript(const std::string& script,
   DMLConfig config;
   config.num_threads = num_threads;
   SystemDSContext ctx(config);
-  auto r = ctx.Execute(script, {}, outputs);
+  auto r = ctx.Execute(script, Inputs(), Outputs::FromVector(outputs));
   EXPECT_TRUE(r.ok()) << r.status();
   return r.ok() ? *r : ScriptResult();
 }
@@ -138,7 +138,7 @@ TEST(ParForTest, ErrorInWorkerPropagates) {
       "    stop('worker failure')\n"
       "  }\n"
       "}\n",
-      {}, {});
+      Inputs(), Outputs::None());
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("worker failure"), std::string::npos);
 }

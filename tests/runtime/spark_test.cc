@@ -95,7 +95,7 @@ TEST(SparkExecutionTest, ForcedSparkMatchesCp) {
       "z = sum(Z)\n";
   DMLConfig cp_config;
   SystemDSContext cp(cp_config);
-  auto r1 = cp.Execute(script, {}, {"s", "z"});
+  auto r1 = cp.Execute(script, Inputs(), Outputs("s", "z"));
   ASSERT_TRUE(r1.ok()) << r1.status();
 
   DMLConfig spark_config;
@@ -103,7 +103,7 @@ TEST(SparkExecutionTest, ForcedSparkMatchesCp) {
   spark_config.block_size = 64;
   SystemDSContext spark(spark_config);
   Statistics::Get().Reset();
-  auto r2 = spark.Execute(script, {}, {"s", "z"});
+  auto r2 = spark.Execute(script, Inputs(), Outputs("s", "z"));
   ASSERT_TRUE(r2.ok()) << r2.status();
 
   EXPECT_NEAR(*r1->GetDouble("s"), *r2->GetDouble("s"), 1e-6);
@@ -123,7 +123,7 @@ TEST(SparkExecutionTest, MemoryBudgetTriggersSparkSelection) {
       "X = rand(rows=200, cols=50, seed=1)\n"
       "A = t(X) %*% X\n"
       "s = sum(A)\n",
-      {}, {"s"});
+      Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(Statistics::Get().GetCounter("spark.reblocks"), 0);
 }

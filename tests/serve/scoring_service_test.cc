@@ -217,7 +217,7 @@ TEST(ScoringServiceTest, MicroBatchingStacksSingleRowRequests) {
   MatrixBlock b = MatrixBlock::Dense(4, 1);
   for (int64_t i = 0; i < 4; ++i) b.DenseRow(i)[0] = 1.0 + i;
   b.MarkNnzDirty();
-  DataPtr weights = SystemDSContext::Matrix(b);
+  DataPtr weights = std::make_shared<MatrixObject>(b);
 
   // Occupy the worker so the scoring requests pile up and batch.
   auto slow = PrepareModel(*ctx, kSlowScript, {{"n", IntInfo()}});
@@ -273,7 +273,7 @@ TEST(ScoringServiceTest, BatchWithScalarOutputFallsBackToIndividual) {
   ASSERT_TRUE(svc.RegisterModel("m", script, {"s"}, mopts).ok());
 
   DataPtr weights =
-      SystemDSContext::Matrix(MatrixBlock::Dense(3, 1, 2.0));
+      std::make_shared<MatrixObject>(MatrixBlock::Dense(3, 1, 2.0));
   // The scalar output cannot be sliced per row; every request must still
   // get its own (correct) answer through the fallback path.
   std::vector<std::future<StatusOr<ScriptResult>>> futures;
@@ -314,7 +314,7 @@ TEST(ScoringServiceTest, StressConcurrentExecutionMatchesSerial) {
   std::vector<double> expected;
   for (int i = 0; i < kDistinctInputs; ++i) {
     inputs.push_back(
-        SystemDSContext::Matrix(MatrixBlock::Dense(16, 16, 1.0 + i)));
+        std::make_shared<MatrixObject>(MatrixBlock::Dense(16, 16, 1.0 + i)));
     // Serial reference execution.
     auto r = script->Execute(Inputs().Bind("X", inputs.back()),
                              Outputs("y"));

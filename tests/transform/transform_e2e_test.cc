@@ -16,7 +16,11 @@ namespace {
 class TransformE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = "transform_e2e_people.csv";
+    // One file per test: ctest runs the tests of this suite in parallel
+    // processes sharing one working directory.
+    path_ = std::string("transform_e2e_people_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
     std::ofstream out(path_);
     out << "city,age\n";
     const char* cities[] = {"graz", "vienna", "linz"};
@@ -40,7 +44,7 @@ class TransformE2ETest : public ::testing::Test {
 
 TEST_F(TransformE2ETest, CompressedSinkMatchesDenseThroughDml) {
   auto dense_ctx = SystemDSContext::Builder().Build();
-  auto r1 = dense_ctx->Execute(Script(), {}, {"s", "c"});
+  auto r1 = dense_ctx->Execute(Script(), Inputs(), Outputs("s", "c"));
   ASSERT_TRUE(r1.ok()) << r1.status();
   for (auto output : {TransformOutputFormat::kCompressed,
                       TransformOutputFormat::kAuto}) {
@@ -48,7 +52,7 @@ TEST_F(TransformE2ETest, CompressedSinkMatchesDenseThroughDml) {
                    .TransformOutput(output)
                    .TransformThreads(4)
                    .Build();
-    auto r2 = ctx->Execute(Script(), {}, {"s", "c"});
+    auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s", "c"));
     ASSERT_TRUE(r2.ok()) << r2.status();
     EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
     EXPECT_DOUBLE_EQ(*r2->GetDouble("c"), *r1->GetDouble("c"));
@@ -59,12 +63,12 @@ TEST_F(TransformE2ETest, CompressionEnabledUpgradesEncodeOutputs) {
   // With --compress the compiler stamps encode outputs kAuto; results must
   // stay identical to the dense baseline.
   auto dense_ctx = SystemDSContext::Builder().Build();
-  auto r1 = dense_ctx->Execute(Script(), {}, {"s"});
+  auto r1 = dense_ctx->Execute(Script(), Inputs(), Outputs("s"));
   ASSERT_TRUE(r1.ok()) << r1.status();
   DMLConfig config;
   config.compression_enabled = true;
   auto ctx = SystemDSContext::Builder().WithConfig(config).Build();
-  auto r2 = ctx->Execute(Script(), {}, {"s"});
+  auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s"));
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
 }
