@@ -1,9 +1,9 @@
 // Ablation A1 (§4.2 observation 2): dense GEMM kernel comparison — the
 // portable dot-product-ordered kernel (the stand-in for SystemDS's Java
 // matmult, which "does not compile packed SIMD instructions") vs. the
-// cache-blocked vectorizer-friendly kernel (SysDS-B / native BLAS path).
-// The paper reports the portable kernel ~2.1x slower; also covers tsmm,
-// sparse-dense, and transpose micro-kernels.
+// register-blocked SIMD core (SysDS-B / native BLAS path), which also
+// computes dense tsmm and tlmm. The paper reports the portable kernel ~2.1x
+// slower; also covers tsmm, sparse-dense, and transpose micro-kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -43,28 +43,58 @@ void BM_GemmPortable(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmPortable)->Arg(128)->Arg(256)->Arg(512);
 
+// The native core at 1 thread (called on all rows, no pool) and through
+// MatMult's row chunks on the global pool, which runs DefaultParallelism()
+// threads (SYSDS_NUM_THREADS caps it). Rates are per wall-clock second.
 void BM_GemmNative(benchmark::State& state) {
   int64_t n = state.range(0);
+  int threads = static_cast<int>(state.range(1));
+  if (threads > 1 && DefaultParallelism() != threads) {
+    state.SkipWithError("needs DefaultParallelism() == threads");
+    return;
+  }
   MatrixBlock a = MakeDense(n, n, 1), b = MakeDense(n, n, 2);
   SetGemmKernel(GemmKernel::kNative);
   for (auto _ : state) {
-    auto c = MatMult(a, b, 1);
-    benchmark::DoNotOptimize(c->DenseData());
+    if (threads == 1) {
+      MatrixBlock c = MatrixBlock::Dense(n, n);
+      internal::GemmDense(a.DenseData(), b.DenseData(), c.DenseData(), n, n,
+                          n);
+      benchmark::DoNotOptimize(c.DenseData());
+    } else {
+      auto c = MatMult(a, b, threads);
+      benchmark::DoNotOptimize(c->DenseData());
+    }
+    benchmark::ClobberMemory();
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmNative)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmNative)
+    ->ArgNames({"n", "threads"})
+    ->ArgsProduct({{128, 256, 512}, {1, 4}})
+    ->UseRealTime();
 
+// Left tsmm t(X) %*% X; 20000 x 200 is the lmds_sweep shape. Flops count
+// the upper triangle, rows * cols * (cols + 1), as e2ebench does.
 void BM_TsmmDense(benchmark::State& state) {
-  int64_t rows = state.range(0), cols = 128;
+  int64_t rows = state.range(0), cols = state.range(1);
   MatrixBlock x = MakeDense(rows, cols, 3);
   for (auto _ : state) {
     auto c = TransposeSelfMatMult(x, true, DefaultParallelism());
     benchmark::DoNotOptimize(c->DenseData());
   }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      static_cast<double>(rows) * cols * (cols + 1) * state.iterations() /
+          1e9,
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TsmmDense)->Arg(2048)->Arg(8192);
+BENCHMARK(BM_TsmmDense)
+    ->ArgNames({"rows", "cols"})
+    ->Args({2048, 128})
+    ->Args({8192, 128})
+    ->Args({20000, 200})
+    ->UseRealTime();
 
 void BM_TsmmSparse(benchmark::State& state) {
   int64_t rows = state.range(0), cols = 128;

@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
   auto b = *RandMatrix(k, n, -1.0, 1.0, 1.0, 2, RandPdf::kUniform, 1);
   MatrixBlock c = MatrixBlock::Dense(m, n);
   auto gemm_rows = [&](int64_t rb, int64_t re) {
-    internal::GemmDenseTiled(a.DenseRow(rb), b.DenseData(), c.DenseRow(rb),
-                             re - rb, n, k);
+    internal::GemmDense(a.DenseRow(rb), b.DenseData(), c.DenseRow(rb),
+                        re - rb, n, k);
   };
   const int64_t chunks = PickChunks(m, hw);
   const int reps = std::max(3, scale.repetitions * 3);
@@ -204,8 +204,8 @@ int main(int argc, char** argv) {
       auto serial_body = [&](int64_t w) {
         MatrixBlock& r = results[static_cast<size_t>(w)];
         r = MatrixBlock::Dense(im, n);
-        internal::GemmDenseTiled(ia.DenseData(), b.DenseData(),
-                                 r.DenseData(), im, n, k);
+        internal::GemmDense(ia.DenseData(), b.DenseData(), r.DenseData(), im,
+                            n, k);
       };
       nested_old = MinSeconds(scale.repetitions, [&] {
         old_pool.ParallelFor(0, outer, outer, [&](int64_t wb, int64_t we) {

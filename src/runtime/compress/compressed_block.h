@@ -156,8 +156,8 @@ class CompressedMatrixBlock {
 
   /// X %*% b: dictionaries are pre-scaled where possible and codes index
   /// the scaled dictionary. Per-cell accumulation order and zero handling
-  /// match the dense tiled GEMM kernel exactly, so the result is
-  /// bit-identical to MatMult on the decompressed input.
+  /// match the dense GEMM core exactly, so the result is bit-identical to
+  /// MatMult on the decompressed input.
   StatusOr<MatrixBlock> RightMatMult(const MatrixBlock& b,
                                      int num_threads = 1) const;
 

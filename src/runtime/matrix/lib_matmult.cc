@@ -19,12 +19,195 @@ inline bool AllFinite(const double* v, int64_t n) {
   }
   return true;
 }
+
+// Dense matmult core. One register-blocked micro-kernel computes dense gemm,
+// left tsmm and tlmm. It holds an R x 16 tile of C in vector registers (an
+// R x 8 tile for the column tail, single columns after that), broadcasts R
+// values of the left operand A per step, multiplies them into 16 contiguous
+// values of the right operand B's row, and walks the shared dimension l in
+// order. Operands are pointer + strides:
+//
+//   call site   A(r, l)           B(l, j)
+//   gemm        a[r * k + l]      b[l * n + j]
+//   tsmm-left   x[l * n + r]      x[l * n + j]
+//   tlmm        a[l * n + r]      b[l * ncols_b + j]
+//
+// so row-major X already supplies contiguous 16-wide strips and nothing is
+// packed. Every cell of C starts from the value already stored in C and adds
+// its products A(r, l) * B(l, j) in increasing l, with one rounding per
+// multiply and one per add: this file is compiled with -ffp-contract=off, so
+// no multiply-add is fused. A pass over the next block of l reloads the tile
+// from C and keeps adding, so the sum order of every cell is that of a plain
+// i-k-j loop, whatever the tiling or the instruction set. The core does not
+// skip zeros of A: a skipped product is ±0, and adding ±0 to a sum that
+// started at +0 (and so is never -0) changes no bit, while 0 * Inf or 0 * NaN
+// must give NaN anyway (the unified zero-skip rule).
+
+#define SYSDS_MATMULT_INLINE inline __attribute__((always_inline))
+
+// Vector types of the three variants: 2, 4 or 8 doubles per register.
+typedef double V2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+typedef double V8 __attribute__((vector_size(64)));
+
+// One call of the core: C[m x n] += A[m x k] * B[k x n], where
+// A(r, l) = a[r * a_row + l * a_step], B(l, j) = b[l * ldb + j] and
+// C(r, j) = c[r * ldc + j]. With `upper`, rows only compute the columns of
+// their tiles that reach the diagonal or beyond.
+struct Panel {
+  const double* a;
+  const double* b;
+  double* c;
+  int64_t a_row, a_step, ldb, ldc;
+  int64_t m, n, k;
+  bool upper;
+};
+
+// C[0:R, 0:W] += A[0:R, 0:k] * B[0:k, 0:W] with the tile held in W/lanes
+// vector registers per row.
+template <typename V, int R, int W>
+SYSDS_MATMULT_INLINE void Tile(const Panel& p, const double* a,
+                               const double* b, double* c) {
+  constexpr int kVecs = W / static_cast<int>(sizeof(V) / sizeof(double));
+  constexpr int kLanes = W / kVecs;
+  V acc[R][kVecs];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      std::memcpy(&acc[r][v], c + r * p.ldc + kLanes * v, sizeof(V));
+    }
+  }
+  for (int64_t l = 0; l < p.k; ++l) {
+    const double* bl = b + l * p.ldb;
+    const double* al = a + l * p.a_step;
+    double av[R];
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) av[r] = al[r * p.a_row];
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      V bv;
+      std::memcpy(&bv, bl + kLanes * v, sizeof(V));
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) acc[r][v] += av[r] * bv;
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      std::memcpy(c + r * p.ldc + kLanes * v, &acc[r][v], sizeof(V));
+    }
+  }
+}
+
+// One column of C for R rows (the tail narrower than 8 columns).
+template <int R>
+SYSDS_MATMULT_INLINE void Column(const Panel& p, const double* a,
+                                 const double* b, double* c) {
+  double acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = c[r * p.ldc];
+  for (int64_t l = 0; l < p.k; ++l) {
+    const double bv = b[l * p.ldb];
+    const double* al = a + l * p.a_step;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) acc[r] += al[r * p.a_row] * bv;
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) c[r * p.ldc] = acc[r];
+}
+
+// Rows [i, m) of C in blocks of R rows, then the remainder in blocks of
+// R/2, R/4, ..., 1. Each block covers its columns with 16-wide tiles, one
+// 8-wide tile, then single columns; with `upper`, a block starting at row i
+// starts at column i, so it computes every cell on or above the diagonal
+// plus the few below it that share a tile with the diagonal.
+template <typename V, int R>
+SYSDS_MATMULT_INLINE void Rows(const Panel& p, int64_t i) {
+  for (; i + R <= p.m; i += R) {
+    const double* a = p.a + i * p.a_row;
+    double* c = p.c + i * p.ldc;
+    int64_t j = p.upper ? i : 0;
+    for (; j + 16 <= p.n; j += 16) Tile<V, R, 16>(p, a, p.b + j, c + j);
+    if (j + 8 <= p.n) {
+      Tile<V, R, 8>(p, a, p.b + j, c + j);
+      j += 8;
+    }
+    for (; j < p.n; ++j) Column<R>(p, a, p.b + j, c + j);
+  }
+  if constexpr (R > 1) Rows<V, R / 2>(p, i);
+}
+
+// The instruction-set variants inline the same templates; only the vector
+// width and the row-block height (as many rows as the register file holds)
+// differ.
+using PanelFn = void (*)(const Panel&);
+
+void PanelGeneric(const Panel& p) { Rows<V2, 2>(p, 0); }
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void PanelAvx2(const Panel& p) {
+  Rows<V4, 4>(p, 0);
+}
+
+__attribute__((target("avx512f"))) void PanelAvx512(const Panel& p) {
+  Rows<V8, 8>(p, 0);
+}
+#endif
+
+PanelFn PanelFor(internal::MatMultIsa isa) {
+  switch (isa) {
+#if defined(__x86_64__)
+    case internal::MatMultIsa::kAvx512:
+      return PanelAvx512;
+    case internal::MatMultIsa::kAvx2:
+      return PanelAvx2;
+#endif
+    default:
+      return PanelGeneric;
+  }
+}
+
+// Shared-dimension steps per pass: a pass's rows of B (and, for tsmm and
+// tlmm, of A) stay in L2 while every tile of C streams over them.
+constexpr int64_t kBlockK = 256;
+// gemm columns per pass: a kBlockK x kBlockN block of B is 1 MB.
+constexpr int64_t kBlockN = 512;
+
 }  // namespace
 
 void SetGemmKernel(GemmKernel kernel) { g_gemm_kernel.store(kernel); }
 GemmKernel GetGemmKernel() { return g_gemm_kernel.load(); }
 
 namespace internal {
+
+bool IsaSupported(MatMultIsa isa) {
+  switch (isa) {
+    case MatMultIsa::kGeneric:
+      return true;
+#if defined(__x86_64__)
+    case MatMultIsa::kAvx2:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2");
+    case MatMultIsa::kAvx512:
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx512f");
+#endif
+    default:
+      return false;
+  }
+}
+
+MatMultIsa SelectedIsa() {
+  static const MatMultIsa selected = [] {
+    for (MatMultIsa isa : {MatMultIsa::kAvx512, MatMultIsa::kAvx2}) {
+      if (IsaSupported(isa)) return isa;
+    }
+    return MatMultIsa::kGeneric;
+  }();
+  return selected;
+}
 
 // Straightforward i-j-k (dot product) loop nest: strided accesses into B and
 // no register blocking — stands in for the portable Java kernel of §4.2.
@@ -41,43 +224,59 @@ void GemmDensePortable(const double* a, const double* b, double* c,
   }
 }
 
-// Cache-blocked i-k-j kernel with a contiguous inner loop over C/B rows —
-// the auto-vectorizer emits packed SIMD for the inner axpy, standing in for
-// the native BLAS path (SysDS-B).
-void GemmDenseTiled(const double* a, const double* b, double* c, int64_t m,
-                    int64_t n, int64_t k) {
-  constexpr int64_t kBlockK = 128;
-  constexpr int64_t kBlockJ = 512;
-  // Unified zero-skip rule (same as the fused and compressed kernels): a
-  // zero in A may skip B's row l only when that row is finite everywhere,
-  // so 0 * Inf and 0 * NaN still propagate NaN into C exactly like the
-  // non-skipping GemmDensePortable. Row states are memoized lazily — a
-  // zero-free A never pays for the scan.
-  std::vector<int8_t> b_row_finite;  // -1 unknown, 0 has nonfinite, 1 finite
-  auto b_row_all_finite = [&](int64_t l) {
-    if (b_row_finite.empty()) b_row_finite.assign(static_cast<size_t>(k), -1);
-    int8_t st = b_row_finite[static_cast<size_t>(l)];
-    if (st < 0) {
-      st = AllFinite(b + l * n, n) ? 1 : 0;
-      b_row_finite[static_cast<size_t>(l)] = st;
+void GemmDense(const double* a, const double* b, double* c, int64_t m,
+               int64_t n, int64_t k, MatMultIsa isa) {
+  PanelFn panel = PanelFor(isa);
+  for (int64_t l0 = 0; l0 < k; l0 += kBlockK) {
+    for (int64_t j0 = 0; j0 < n; j0 += kBlockN) {
+      panel({.a = a + l0,
+             .b = b + l0 * n + j0,
+             .c = c + j0,
+             .a_row = k,
+             .a_step = 1,
+             .ldb = n,
+             .ldc = n,
+             .m = m,
+             .n = std::min(kBlockN, n - j0),
+             .k = std::min(kBlockK, k - l0),
+             .upper = false});
     }
-    return st == 1;
-  };
-  for (int64_t kk = 0; kk < k; kk += kBlockK) {
-    int64_t kend = std::min(k, kk + kBlockK);
-    for (int64_t jj = 0; jj < n; jj += kBlockJ) {
-      int64_t jend = std::min(n, jj + kBlockJ);
-      for (int64_t i = 0; i < m; ++i) {
-        const double* arow = a + i * k;
-        double* crow = c + i * n;
-        for (int64_t l = kk; l < kend; ++l) {
-          double aval = arow[l];
-          if (aval == 0.0 && b_row_all_finite(l)) continue;
-          const double* brow = b + l * n;
-          for (int64_t j = jj; j < jend; ++j) crow[j] += aval * brow[j];
-        }
-      }
-    }
+  }
+}
+
+void TsmmLeftDense(const double* x, double* c, int64_t m, int64_t n,
+                   MatMultIsa isa) {
+  PanelFn panel = PanelFor(isa);
+  for (int64_t l0 = 0; l0 < m; l0 += kBlockK) {
+    panel({.a = x + l0 * n,
+           .b = x + l0 * n,
+           .c = c,
+           .a_row = 1,
+           .a_step = n,
+           .ldb = n,
+           .ldc = n,
+           .m = n,
+           .n = n,
+           .k = std::min(kBlockK, m - l0),
+           .upper = true});
+  }
+}
+
+void TlmmDense(const double* a, const double* b, double* c, int64_t m,
+               int64_t n, int64_t l, MatMultIsa isa) {
+  PanelFn panel = PanelFor(isa);
+  for (int64_t l0 = 0; l0 < m; l0 += kBlockK) {
+    panel({.a = a + l0 * n,
+           .b = b + l0 * l,
+           .c = c,
+           .a_row = 1,
+           .a_step = n,
+           .ldb = l,
+           .ldc = l,
+           .m = n,
+           .n = l,
+           .k = std::min(kBlockK, m - l0),
+           .upper = false});
   }
 }
 
@@ -91,7 +290,7 @@ void GemmDenseRows(const MatrixBlock& a, const MatrixBlock& b, MatrixBlock* c,
   const double* pa = a.DenseData() + rbeg * k;
   double* pc = c->DenseData() + rbeg * n;
   if (GetGemmKernel() == GemmKernel::kNative) {
-    internal::GemmDenseTiled(pa, b.DenseData(), pc, rend - rbeg, n, k);
+    internal::GemmDense(pa, b.DenseData(), pc, rend - rbeg, n, k);
   } else {
     internal::GemmDensePortable(pa, b.DenseData(), pc, rend - rbeg, n, k);
   }
@@ -115,12 +314,26 @@ void GemmSparseDenseRows(const MatrixBlock& a, const MatrixBlock& b,
 void GemmDenseSparseRows(const MatrixBlock& a, const MatrixBlock& b,
                          MatrixBlock* c, int64_t rbeg, int64_t rend) {
   int64_t k = a.Cols();
+  // Unified zero-skip rule: a zero in A may skip B's row l only when that
+  // row is finite everywhere, so 0 * Inf still propagates NaN as in the
+  // dense kernels. Row states are memoized lazily: -1 unknown, 0 has a
+  // nonfinite value, 1 finite.
+  std::vector<int8_t> b_row_finite;
+  auto b_row_all_finite = [&](int64_t l) {
+    if (b_row_finite.empty()) b_row_finite.assign(static_cast<size_t>(k), -1);
+    int8_t& st = b_row_finite[static_cast<size_t>(l)];
+    if (st < 0) {
+      const SparseRow& row = b.SparseData().Row(l);
+      st = AllFinite(row.Values(), row.Size()) ? 1 : 0;
+    }
+    return st == 1;
+  };
   for (int64_t i = rbeg; i < rend; ++i) {
     const double* arow = a.DenseRow(i);
     double* crow = c->DenseRow(i);
     for (int64_t l = 0; l < k; ++l) {
       double aval = arow[l];
-      if (aval == 0.0) continue;
+      if (aval == 0.0 && b_row_all_finite(l)) continue;
       const SparseRow& brow = b.SparseData().Row(l);
       for (int64_t p = 0; p < brow.Size(); ++p) {
         crow[brow.Indexes()[p]] += aval * brow.Values()[p];
@@ -235,14 +448,11 @@ StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
 
 StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
                                            int num_threads) {
-  // Right tsmm X%*%t(X) is computed as left tsmm of the transpose-free form
-  // by swapping the roles of rows and cells; for simplicity we only
-  // specialize the (dominant) left case and fall back to TransposeLeftMatMult
-  // semantics for the right case via the generic path.
   if (!left) {
-    // X %*% t(X): C[i,j] = dot(row_i, row_j), symmetric m x m. Row i costs
-    // ~(m - i) dot products — triangular skew — so chunks split on that
-    // weight rather than on the row count.
+    // Right tsmm X %*% t(X): C[i,j] = dot(row_i, row_j), symmetric m x m,
+    // computed as per-cell dot products over the upper triangle and then
+    // mirrored. Row i costs ~(m - i) dot products — triangular skew — so
+    // chunks split on that weight rather than on the row count.
     int64_t m = x.Rows(), k = x.Cols();
     MatrixBlock c = MatrixBlock::Dense(m, m);
     ThreadPool::Global().ParallelForWeighted(
@@ -307,9 +517,10 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     return c;
   }
 
-  // Native kernel: accumulated over rows with per-chunk partial results
-  // reduced deterministically by chunk id (vectorizable inner axpy). The
-  // chunk count is bounded by the n*n scratch each chunk holds.
+  // Native kernel: each chunk of rows accumulates the upper triangle of
+  // t(X_chunk) %*% X_chunk into its own partial (the dense core for dense X),
+  // and the partials are reduced deterministically by chunk id. The chunk
+  // count is bounded by the n*n scratch each chunk holds.
   int64_t m = x.Rows(), n = x.Cols();
   int64_t chunks = PickChunksBounded(m, n * n * 8);
   std::vector<std::vector<double>> partials(
@@ -318,22 +529,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     std::vector<double>& acc = partials[static_cast<size_t>(ci)];
     acc.assign(static_cast<size_t>(n * n), 0.0);
     if (!x.IsSparse()) {
-      for (int64_t i = rb; i < re; ++i) {
-        const double* row = x.DenseRow(i);
-        // Skip a zero only when its row is finite everywhere (unified
-        // zero-skip rule: 0 * Inf must stay NaN, matching the portable
-        // kernel). Checked lazily on the first zero in the row.
-        int row_finite = -1;
-        for (int64_t p = 0; p < n; ++p) {
-          double v = row[p];
-          if (v == 0.0) {
-            if (row_finite < 0) row_finite = AllFinite(row, n) ? 1 : 0;
-            if (row_finite == 1) continue;
-          }
-          double* arow = acc.data() + p * n;
-          for (int64_t q = p; q < n; ++q) arow[q] += v * row[q];
-        }
-      }
+      internal::TsmmLeftDense(x.DenseRow(rb), acc.data(), re - rb, n);
     } else {
       for (int64_t i = rb; i < re; ++i) {
         const SparseRow& row = x.SparseData().Row(i);
@@ -416,24 +612,13 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
   auto accumulate = [&](int64_t rb, int64_t re, int64_t ci) {
     std::vector<double>& acc = partials[static_cast<size_t>(ci)];
     acc.assign(static_cast<size_t>(n * l), 0.0);
+    if (!a.IsSparse() && !b.IsSparse()) {
+      internal::TlmmDense(a.DenseRow(rb), b.DenseRow(rb), acc.data(), re - rb,
+                          n, l);
+      return;
+    }
     for (int64_t i = rb; i < re; ++i) {
-      if (!a.IsSparse() && !b.IsSparse()) {
-        const double* arow = a.DenseRow(i);
-        const double* brow = b.DenseRow(i);
-        // Unified zero-skip rule: skip a zero in A only when B's row i is
-        // finite everywhere (0 * Inf must stay NaN, like the portable
-        // kernel). Memoized per shared row.
-        int brow_finite = -1;
-        for (int64_t p = 0; p < n; ++p) {
-          double v = arow[p];
-          if (v == 0.0) {
-            if (brow_finite < 0) brow_finite = AllFinite(brow, l) ? 1 : 0;
-            if (brow_finite == 1) continue;
-          }
-          double* crow = acc.data() + p * l;
-          for (int64_t q = 0; q < l; ++q) crow[q] += v * brow[q];
-        }
-      } else if (a.IsSparse() && !b.IsSparse()) {
+      if (a.IsSparse() && !b.IsSparse()) {
         const SparseRow& arow = a.SparseData().Row(i);
         const double* brow = b.DenseRow(i);
         for (int64_t p = 0; p < arow.Size(); ++p) {
@@ -444,9 +629,17 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
       } else if (!a.IsSparse() && b.IsSparse()) {
         const double* arow = a.DenseRow(i);
         const SparseRow& brow = b.SparseData().Row(i);
+        // Unified zero-skip rule: skip a zero in A only when B's row i is
+        // finite everywhere (0 * Inf must stay NaN, like the dense kernels).
+        int brow_finite = -1;
         for (int64_t p = 0; p < n; ++p) {
           double v = arow[p];
-          if (v == 0.0) continue;
+          if (v == 0.0) {
+            if (brow_finite < 0) {
+              brow_finite = AllFinite(brow.Values(), brow.Size()) ? 1 : 0;
+            }
+            if (brow_finite == 1) continue;
+          }
           double* crow = acc.data() + p * l;
           for (int64_t q = 0; q < brow.Size(); ++q) {
             crow[brow.Indexes()[q]] += v * brow.Values()[q];

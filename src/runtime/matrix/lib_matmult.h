@@ -10,7 +10,8 @@ namespace sysds {
 /// distinction between SystemDS's portable (Java) kernel and the native
 /// BLAS path (SysDS-B): kPortable is a straightforward dot-product-ordered
 /// loop nest without tiling (no "packed SIMD"); kNative is the
-/// cache-blocked, unrolled, vectorizer-friendly kernel.
+/// register-blocked SIMD core shared by dense gemm, left tsmm and tlmm.
+/// Both give bit-identical results.
 enum class GemmKernel {
   kPortable,
   kNative,
@@ -21,7 +22,7 @@ void SetGemmKernel(GemmKernel kernel);
 GemmKernel GetGemmKernel();
 
 /// C = A %*% B. Dispatches on the input formats (dense/sparse on either
-/// side) and shape fast paths (matrix-vector). Inputs must satisfy
+/// side); output rows are computed in parallel chunks. Inputs must satisfy
 /// a.Cols() == b.Rows(); violations return InvalidArgument.
 StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
                               int num_threads);
@@ -38,11 +39,39 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
                                            int num_threads);
 
 namespace internal {
-// Exposed for the kernel micro-benchmarks (bench_kernels).
+
+/// Instruction-set variants of the dense matmult core. Every variant adds
+/// the same products in the same order, so results are bit-identical across
+/// variants (NaN payloads aside); the public entry points use SelectedIsa().
+enum class MatMultIsa {
+  kGeneric,
+  kAvx2,
+  kAvx512,
+};
+
+/// True when this host can run `isa` (kGeneric always).
+bool IsaSupported(MatMultIsa isa);
+/// The widest variant this host supports, chosen on first use.
+MatMultIsa SelectedIsa();
+
+/// The portable kernel (GemmKernel::kPortable): C[m x n] = A[m x k] B[k x n],
+/// row-major, as per-cell dot products.
 void GemmDensePortable(const double* a, const double* b, double* c,
                        int64_t m, int64_t n, int64_t k);
-void GemmDenseTiled(const double* a, const double* b, double* c, int64_t m,
-                    int64_t n, int64_t k);
+
+/// The dense core. Each adds its products to C in increasing order of the
+/// shared dimension, starting from the values already in C.
+/// C[m x n] += A[m x k] B[k x n], all row-major.
+void GemmDense(const double* a, const double* b, double* c, int64_t m,
+               int64_t n, int64_t k, MatMultIsa isa = SelectedIsa());
+/// C[n x n] += t(X) X for row-major X[m x n]: every cell on or above the
+/// diagonal; cells below it are left unspecified.
+void TsmmLeftDense(const double* x, double* c, int64_t m, int64_t n,
+                   MatMultIsa isa = SelectedIsa());
+/// C[n x l] += t(A) B for row-major A[m x n] and B[m x l].
+void TlmmDense(const double* a, const double* b, double* c, int64_t m,
+               int64_t n, int64_t l, MatMultIsa isa = SelectedIsa());
+
 }  // namespace internal
 
 }  // namespace sysds
