@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
     internal::GemmDense(a.DenseRow(rb), b.DenseData(), c.DenseRow(rb),
                         re - rb, n, k);
   };
-  const int64_t chunks = PickChunks(m, hw);
+  const int64_t chunks = PickChunks(m);
   const int reps = std::max(3, scale.repetitions * 3);
 
   std::printf("# scheduler: flat dense gemm %lldx%lldx%lld, %lld chunks\n",
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
       }
       sink.store(acc, std::memory_order_relaxed);
     };
-    const int64_t nchunks = PickChunks(rows, hw);
+    const int64_t nchunks = PickChunks(rows);
     auto imbalance = [](const std::vector<double>& chunk_s) {
       double sum = 0, mx = 0;
       int64_t cnt = 0;

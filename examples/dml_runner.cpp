@@ -4,7 +4,9 @@
 //              [--metrics out.json] [--chaos-seed N] [--no-fusion]
 //              [--compress]
 // Executes the script and prints script output; with -stats, prints the
-// heavy-hitter instruction profile afterwards. --trace records spans from
+// heavy-hitter instruction profile afterwards. -threads N caps how many
+// threads run one parallel loop of a kernel, transform or read (default:
+// SYSDS_NUM_THREADS, else the hardware concurrency). --trace records spans from
 // every runtime subsystem and writes Chrome trace-event JSON (open in
 // chrome://tracing or https://ui.perfetto.dev); --metrics dumps the metrics
 // registry (counters/gauges/histograms) as JSON. --chaos-seed N runs the
@@ -42,7 +44,7 @@ int main(int argc, char** argv) {
               << " script.dml [-stats] [-lineage] [-reuse full|partial]"
                  " [-threads N] [--trace out.json] [--metrics out.json]"
                  " [--chaos-seed N] [--no-fusion] [--compress]"
-                 " [--transform-compressed] [--transform-threads N]"
+                 " [--transform-compressed]"
                  " [--checkpoint-dir DIR] [--checkpoint-interval N]"
                  " [--resume] [--mem-limit BYTES] [--no-write-behind]"
                  " [--no-prefetch]\n";
@@ -79,9 +81,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--transform-compressed" ||
                arg == "-transform-compressed") {
       config.transform_output = TransformOutputFormat::kCompressed;
-    } else if ((arg == "--transform-threads" || arg == "-transform-threads") &&
-               i + 1 < argc) {
-      config.transform_num_threads = std::atoi(argv[++i]);
     } else if ((arg == "--chaos-seed" || arg == "-chaos-seed") &&
                i + 1 < argc) {
       config.faults.enabled = true;
@@ -107,7 +106,6 @@ int main(int argc, char** argv) {
                arg == "--chaos-seed" || arg == "-chaos-seed" ||
                arg == "--checkpoint-dir" || arg == "-checkpoint-dir" ||
                arg == "--checkpoint-interval" || arg == "-checkpoint-interval" ||
-               arg == "--transform-threads" || arg == "-transform-threads" ||
                arg == "--mem-limit" || arg == "-mem-limit") {
       std::cerr << arg << " requires a value\n";
       return 2;

@@ -267,10 +267,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::CompressionMinSize(
   config_.compression_min_size_bytes = bytes;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::TransformThreads(int n) {
-  config_.transform_num_threads = n;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::TransformOutput(
     TransformOutputFormat format) {
   config_.transform_output = format;

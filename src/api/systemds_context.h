@@ -177,6 +177,8 @@ class SystemDSContext {
 
     /// Replaces the whole config (start from an existing DMLConfig).
     Builder& WithConfig(DMLConfig config);
+    /// Thread budget (`dml_runner -threads N`): the most threads that run
+    /// one parallel loop of this context's kernels; 0 = the whole pool.
     Builder& NumThreads(int n);
     Builder& CpMemoryBudget(int64_t bytes);
     Builder& BufferPoolLimit(int64_t bytes);
@@ -207,10 +209,6 @@ class SystemDSContext {
     Builder& CompressionMinRatio(double ratio);
     /// Matrices below this in-memory size are never compressed.
     Builder& CompressionMinSize(int64_t bytes);
-    /// Threads for transformencode/transformapply/transformdecode (0 =
-    /// the context's NumThreads). Fit/apply are chunked pipelines whose
-    /// results are bit-identical at every thread count.
-    Builder& TransformThreads(int n);
     /// Output representation of transformencode/transformapply
     /// (`dml_runner --transform-compressed` maps to
     /// TransformOutput(kCompressed)). kAuto prices bytes per column;

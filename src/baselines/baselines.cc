@@ -188,7 +188,7 @@ Status GenerateSweepData(int64_t rows, int64_t cols, double sparsity,
       MatrixBlock noise,
       RandMatrix(rows, 1, -0.01, 0.01, 1.0, seed + 2, RandPdf::kUniform, 1));
   SYSDS_ASSIGN_OR_RETURN(
-      y, BinaryMatrixMatrix(BinaryOpCode::kAdd, y, noise, 1));
+      y, BinaryMatrixMatrix(BinaryOpCode::kAdd, y, noise, 0));
   SYSDS_RETURN_IF_ERROR(io::Write(x, x_csv, FormatDescriptor::Csv()));
   return io::Write(y, y_csv, FormatDescriptor::Csv());
 }

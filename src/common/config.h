@@ -31,7 +31,8 @@ enum class TransformOutputFormat {
 /// (local CP with optional distributed/federated operations chosen by
 /// memory estimates).
 struct DMLConfig {
-  // Degree of parallelism for multi-threaded CP kernels and parfor.
+  // Thread budget: the most threads that execute one parallel loop of a CP
+  // kernel, transform or read, and the number of local parfor workers.
   int num_threads = 0;  // 0 = DefaultParallelism()
 
   // CP memory budget in bytes; operations whose memory estimate exceeds
@@ -98,9 +99,6 @@ struct DMLConfig {
   // kDense is upgraded to kAuto when compression is enabled, so encode
   // outputs feed downstream lmDS-style sweeps in compressed form.
   TransformOutputFormat transform_output = TransformOutputFormat::kDense;
-  // Threads for transform fit/apply (0 = the instruction-level parallelism,
-  // i.e. num_threads / DefaultParallelism).
-  int transform_num_threads = 0;
 
   // Print instruction-level statistics at the end of a script run.
   bool statistics = false;

@@ -447,10 +447,13 @@ struct ThreadPool::Impl {
   // Runs a chunked loop to completion on the calling thread plus any workers
   // that pick up queued entries. The caller claims chunks immediately; once
   // all chunks are claimed it *helps* — runs other pending tasks — and only
-  // parks on the join condition variable when the pool is drained.
-  void RunJoin(JoinJob* job, const char* label) {
+  // parks on the join condition variable when the pool is drained. Each
+  // queued entry admits at most one more thread, so publishing at most
+  // max_threads - 1 entries caps the threads on this loop.
+  void RunJoin(JoinJob* job, const char* label, int max_threads) {
     int64_t entries = std::min<int64_t>(
         job->num_chunks - 1, static_cast<int64_t>(workers_.size()));
+    if (max_threads > 0) entries = std::min<int64_t>(entries, max_threads - 1);
     if (entries > 0) {
       job->refs.fetch_add(entries, std::memory_order_relaxed);
       PushJob(job, entries);
@@ -475,8 +478,8 @@ struct ThreadPool::Impl {
     job->DecRef();
   }
 
-  // Zero-worker fast path: execute the identical chunk decomposition
-  // serially, in chunk order, on the calling thread.
+  // Zero-worker (or max_threads == 1) fast path: execute the identical chunk
+  // decomposition serially, in chunk order, on the calling thread.
   template <typename CallFn>
   void RunSerialChunks(const JoinJob& geom, const char* label, CallFn call) {
     int64_t executed = 0, sum_ns = 0, max_ns = 0;
@@ -568,7 +571,7 @@ bool ThreadPool::TryRunPendingTask() { return impl_->TryRunOne(); }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
                              const std::function<void(int64_t, int64_t)>& fn,
-                             const char* label) {
+                             const char* label, int max_threads) {
   int64_t n = end - begin;
   if (n <= 0) return;
   num_chunks = std::max<int64_t>(1, std::min(num_chunks, n));
@@ -584,20 +587,20 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
   job->num_chunks = num_chunks;
   job->fn = &fn;
   job->timed = label != nullptr;
-  if (impl_->workers_.empty()) {
+  if (impl_->workers_.empty() || max_threads == 1) {
     impl_->RunSerialChunks(*job, label,
                            [&fn](int64_t b, int64_t e, int64_t) { fn(b, e); });
     delete job;
     return;
   }
-  impl_->RunJoin(job, label);
+  impl_->RunJoin(job, label, max_threads);
 }
 
 void ThreadPool::ParallelForWeighted(
     int64_t begin, int64_t end, int64_t num_chunks,
     const std::function<int64_t(int64_t)>& weight,
     const std::function<void(int64_t, int64_t, int64_t)>& fn,
-    const char* label) {
+    const char* label, int max_threads) {
   int64_t n = end - begin;
   if (n <= 0) return;
   num_chunks = std::max<int64_t>(1, std::min(num_chunks, n));
@@ -642,7 +645,7 @@ void ThreadPool::ParallelForWeighted(
   job->num_chunks = used;
   job->wfn = &fn;
   job->timed = label != nullptr;
-  if (impl_->workers_.empty()) {
+  if (impl_->workers_.empty() || max_threads == 1) {
     impl_->RunSerialChunks(
         *job, label, [&fn](int64_t b, int64_t e, int64_t c) { fn(b, e, c); });
     delete job;
@@ -651,7 +654,7 @@ void ThreadPool::ParallelForWeighted(
   // `bounds` lives on this stack frame; safe because RunJoin returns only
   // after every chunk is done, and stale queued entries never dereference
   // the geometry (their ticket fetch_add lands past num_chunks).
-  impl_->RunJoin(job, label);
+  impl_->RunJoin(job, label, max_threads);
 }
 
 int DefaultParallelism() {

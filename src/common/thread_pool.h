@@ -47,10 +47,13 @@ class ThreadPool {
   /// when num_chunks does not divide the range) are skipped without calling
   /// fn. When `label` is set and the loop actually splits, per-chunk wall
   /// times feed the histogram `scheduler.imbalance.<label>` (percent excess
-  /// of the slowest chunk over the mean).
+  /// of the slowest chunk over the mean). `max_threads` caps how many
+  /// threads, the caller included, execute this loop's chunks (<= 0: the
+  /// whole pool; 1: every chunk on the caller). It never changes the chunk
+  /// geometry, and it does not bound joins that a chunk itself starts.
   void ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
                    const std::function<void(int64_t, int64_t)>& fn,
-                   const char* label = nullptr);
+                   const char* label = nullptr, int max_threads = 0);
 
   /// Cost-weighted variant for skewed inputs: splits [begin, end) into at
   /// most `num_chunks` contiguous chunks of approximately equal cumulative
@@ -58,10 +61,11 @@ class ThreadPool {
   /// chunk_id). Chunk boundaries are a pure function of the weights and
   /// num_chunks — never of thread count or scheduling — so per-chunk-indexed
   /// reductions stay deterministic. Chunk ids are dense in [0, chunks_used).
+  /// `max_threads` caps the threads as in ParallelFor.
   void ParallelForWeighted(int64_t begin, int64_t end, int64_t num_chunks,
                            const std::function<int64_t(int64_t)>& weight,
                            const std::function<void(int64_t, int64_t, int64_t)>& fn,
-                           const char* label = nullptr);
+                           const char* label = nullptr, int max_threads = 0);
 
   /// Pops or steals one pending task and runs it on the calling thread.
   /// Returns false when nothing was runnable. Blocking helpers use this to
@@ -95,15 +99,15 @@ constexpr int64_t kMinChunkRows = 8;
 constexpr int64_t kMaxLoopChunks = 64;
 
 /// Shared static chunking policy for row-partitioned kernels. The chunk
-/// count is a pure function of the row count — the thread-count argument is
-/// ignored (kept for call-site compatibility) — so per-chunk-indexed
-/// reductions produce bit-identical results at any parallelism. Loops are
-/// oversubscribed (up to kMaxLoopChunks chunks regardless of thread count);
-/// the work-stealing scheduler load-balances the extra chunks dynamically.
-/// Deterministic reductions depend on every caller (fused and unfused paths
-/// alike) using this single policy, so do not fork per-kernel variants.
-inline int64_t PickChunks(int64_t rows, int num_threads) {
-  (void)num_threads;
+/// count is a pure function of the row count, so per-chunk-indexed
+/// reductions produce bit-identical results at any parallelism; the
+/// thread budget is applied separately, as ParallelFor's `max_threads`.
+/// Loops are oversubscribed (up to kMaxLoopChunks chunks regardless of
+/// thread count); the work-stealing scheduler load-balances the extra chunks
+/// dynamically. Deterministic reductions depend on every caller (fused and
+/// unfused paths alike) using this single policy, so do not fork per-kernel
+/// variants.
+inline int64_t PickChunks(int64_t rows) {
   if (rows < kMinChunkRows * 2) return 1;
   return std::min<int64_t>(kMaxLoopChunks, rows / kMinChunkRows);
 }
@@ -114,7 +118,7 @@ inline int64_t PickChunks(int64_t rows, int num_threads) {
 /// fixed budget. `bytes_per_chunk` is the scratch cost of one chunk.
 inline int64_t PickChunksBounded(int64_t rows, int64_t bytes_per_chunk) {
   constexpr int64_t kScratchBudgetBytes = int64_t{64} << 20;  // 64 MB
-  int64_t chunks = PickChunks(rows, /*num_threads=*/0);
+  int64_t chunks = PickChunks(rows);
   if (bytes_per_chunk > 0) {
     int64_t cap = std::max<int64_t>(1, kScratchBudgetBytes / bytes_per_chunk);
     chunks = std::min(chunks, cap);

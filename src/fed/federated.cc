@@ -260,19 +260,19 @@ FederatedMessage FederatedWorker::Handle(const FederatedMessage& msg) {
       }
       StatusOr<MatrixBlock> out = InvalidArgument("");
       if (msg.opcode == "tsmm" && ins.size() == 1) {
-        out = TransposeSelfMatMult(*ins[0], true, 1);
+        out = TransposeSelfMatMult(*ins[0], true, 0);
       } else if (msg.opcode == "tmm" && ins.size() == 2) {
-        out = TransposeLeftMatMult(*ins[0], *ins[1], 1);
+        out = TransposeLeftMatMult(*ins[0], *ins[1], 0);
       } else if (msg.opcode == "matvec" && ins.size() == 1 &&
                  !msg.payload.empty()) {
         auto v = DeserializeMatrix(msg.payload);
         if (!v.ok()) return fail(v.status().ToString());
-        out = MatMult(*ins[0], *v, 1);
+        out = MatMult(*ins[0], *v, 0);
       } else if (msg.opcode == "colsums" && ins.size() == 1) {
-        out = AggregateRowCol(AggOpCode::kSum, AggDirection::kCol, *ins[0], 1);
+        out = AggregateRowCol(AggOpCode::kSum, AggDirection::kCol, *ins[0], 0);
       } else if (msg.opcode == "scale" && ins.size() == 1) {
         out = StatusOr<MatrixBlock>(BinaryMatrixScalar(
-            BinaryOpCode::kMul, *ins[0], msg.scalar, false, 1));
+            BinaryOpCode::kMul, *ins[0], msg.scalar, false, 0));
       } else {
         return fail("federated: unsupported opcode " + msg.opcode);
       }
@@ -549,10 +549,10 @@ StatusOr<MatrixBlock> FederatedMatrix::TsmmLeft() const {
             p, req, [&] { return RePut(p); },
             [&]() -> StatusOr<MatrixBlock> {
               SYSDS_ASSIGN_OR_RETURN(MatrixBlock slice, SourceSlice(p));
-              return TransposeSelfMatMult(slice, true, 1);
+              return TransposeSelfMatMult(slice, true, 0);
             }));
     SYSDS_ASSIGN_OR_RETURN(
-        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 1));
+        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 0));
   }
   return acc;
 }
@@ -584,10 +584,10 @@ StatusOr<MatrixBlock> FederatedMatrix::Tmm(const FederatedMatrix& y) const {
             [&]() -> StatusOr<MatrixBlock> {
               SYSDS_ASSIGN_OR_RETURN(MatrixBlock xs, SourceSlice(px));
               SYSDS_ASSIGN_OR_RETURN(MatrixBlock ys, y.SourceSlice(py));
-              return TransposeLeftMatMult(xs, ys, 1);
+              return TransposeLeftMatMult(xs, ys, 0);
             }));
     SYSDS_ASSIGN_OR_RETURN(
-        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 1));
+        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 0));
   }
   return acc;
 }
@@ -609,7 +609,7 @@ StatusOr<MatrixBlock> FederatedMatrix::MatVec(const MatrixBlock& v) const {
             p, req, [&] { return RePut(p); },
             [&]() -> StatusOr<MatrixBlock> {
               SYSDS_ASSIGN_OR_RETURN(MatrixBlock slice, SourceSlice(p));
-              return MatMult(slice, v, 1);
+              return MatMult(slice, v, 0);
             }));
     for (int64_t r = 0; r < part.Rows(); ++r) {
       out.DenseData()[p.row_begin + r] = part.Get(r, 0);
@@ -633,10 +633,10 @@ StatusOr<MatrixBlock> FederatedMatrix::ColSums() const {
             [&]() -> StatusOr<MatrixBlock> {
               SYSDS_ASSIGN_OR_RETURN(MatrixBlock slice, SourceSlice(p));
               return AggregateRowCol(AggOpCode::kSum, AggDirection::kCol,
-                                     slice, 1);
+                                     slice, 0);
             }));
     SYSDS_ASSIGN_OR_RETURN(
-        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 1));
+        acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, part, 0));
   }
   return acc;
 }

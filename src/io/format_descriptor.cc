@@ -1,6 +1,8 @@
 #include "io/format_descriptor.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 
 #include "common/json.h"
 #include "common/util.h"
@@ -40,7 +42,14 @@ StatusOr<FormatDescriptor> ParseFormatDescriptor(const std::string& json) {
     }
   }
   if (const JsonValue* t = root.Find("num_threads")) {
-    desc.num_threads = static_cast<int>(t->AsNumber());
+    double v = t->kind() == JsonValue::Kind::kNumber ? t->AsNumber() : -1.0;
+    if (!(v >= 0.0 && v <= std::numeric_limits<int>::max() &&
+          v == std::floor(v))) {
+      return InvalidArgument(
+          "format descriptor: 'num_threads' must be an integer in "
+          "[0, INT_MAX]");
+    }
+    desc.num_threads = static_cast<int>(v);
   }
   // Matrix kinds carry their full layout in the file; only the generated
   // frame readers need a column specification up front.

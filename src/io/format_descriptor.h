@@ -33,7 +33,7 @@ struct FormatDescriptor {
   std::string kind;
   char delimiter = ',';
   bool header = false;
-  // Parser threads for formats with parallel readers (0 = DefaultParallelism).
+  // Most threads on a parallel reader's loop (0 = the whole pool).
   int num_threads = 0;
   struct ColumnDesc {
     std::string name;

@@ -52,12 +52,17 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
 }
 
 // Splits [0, size) into chunks aligned to line boundaries; shared by the
-// matrix and frame text readers so both parallelize identically.
+// matrix and frame text readers so both parallelize identically. The chunk
+// count depends on the size only (about 64 KB per chunk, at most
+// kMaxLoopChunks); the thread budget is applied when the chunks run.
 std::vector<std::pair<size_t, size_t>> LineAlignedChunks(
-    const std::string& data, int num_chunks) {
+    const std::string& data) {
+  constexpr size_t kChunkBytes = size_t{1} << 16;
   std::vector<std::pair<size_t, size_t>> chunks;
   size_t size = data.size();
-  size_t target = size / static_cast<size_t>(num_chunks) + 1;
+  size_t num_chunks = std::clamp<size_t>(size / kChunkBytes, 1,
+                                         static_cast<size_t>(kMaxLoopChunks));
+  size_t target = size / num_chunks + 1;
   size_t begin = 0;
   while (begin < size) {
     size_t end = std::min(size, begin + target);
@@ -84,8 +89,6 @@ inline double ParseDoubleToken(const char* s, size_t len) {
 StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
                                         const FormatDescriptor& desc) {
   SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  int threads =
-      desc.num_threads > 0 ? desc.num_threads : DefaultParallelism();
 
   size_t pos = 0;
   if (desc.header) {
@@ -110,7 +113,7 @@ StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
 
   MatrixBlock m = MatrixBlock::Dense(rows, cols);
   std::string body = data.substr(pos);
-  auto chunks = LineAlignedChunks(body, threads);
+  auto chunks = LineAlignedChunks(body);
 
   // Precompute the starting row of each chunk.
   std::vector<int64_t> chunk_row(chunks.size() + 1, 0);
@@ -162,7 +165,7 @@ StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
           }
         }
       },
-      "io.read");
+      "io.read", desc.num_threads);
   for (const Status& s : chunk_status) SYSDS_RETURN_IF_ERROR(s);
   m.MarkNnzDirty();
   m.ExamSparsity();
@@ -214,8 +217,6 @@ StatusOr<FrameBlock> ReadFrameCsvImpl(const std::string& path,
                                       const FormatDescriptor& desc,
                                       const std::vector<ValueType>& schema) {
   SYSDS_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  int threads =
-      desc.num_threads > 0 ? desc.num_threads : DefaultParallelism();
 
   size_t pos = 0;
   std::vector<std::string> names;
@@ -259,7 +260,7 @@ StatusOr<FrameBlock> ReadFrameCsvImpl(const std::string& path,
     return IoError("frame csv: schema size does not match column count");
   }
 
-  auto chunks = LineAlignedChunks(body, threads);
+  auto chunks = LineAlignedChunks(body);
   // Rows = non-empty lines; prefix-count per chunk so workers know their
   // absolute row numbers (both for placement and error messages).
   std::vector<int64_t> chunk_row(chunks.size() + 1, 0);
@@ -328,7 +329,7 @@ StatusOr<FrameBlock> ReadFrameCsvImpl(const std::string& path,
           }
         }
       },
-      "io.write");
+      "io.read", desc.num_threads);
   for (const Status& s : chunk_status) SYSDS_RETURN_IF_ERROR(s);
   return f;
 }

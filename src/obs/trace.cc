@@ -115,7 +115,11 @@ void Tracer::RecordInstant(const char* category, const char* name) {
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
-  Get().ThreadBuffer()->set_thread_name(name);
+  Tracer& tracer = Get();
+  ThreadTraceBuffer* buffer = tracer.ThreadBuffer();
+  // The exporters read names under the registry lock.
+  std::lock_guard<std::mutex> lock(tracer.registry_mutex_);
+  buffer->set_thread_name(name);
 }
 
 void Tracer::Clear() {

@@ -53,6 +53,7 @@ class ThreadTraceBuffer {
   }
 
   uint32_t tid() const { return tid_; }
+  /// Guarded by the Tracer's registry lock.
   const std::string& thread_name() const { return thread_name_; }
   void set_thread_name(std::string name) { thread_name_ = std::move(name); }
 

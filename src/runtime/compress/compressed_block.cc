@@ -407,17 +407,15 @@ CompressedMatrixBlock CompressedMatrixBlock::Compress(
   out.groups_.resize(static_cast<size_t>(ngroups));
   std::vector<int64_t> group_nnz(static_cast<size_t>(ngroups), 0);
   if (ngroups > 0) {
-    int64_t chunks =
-        num_threads <= 1 ? 1 : std::min<int64_t>(num_threads, ngroups);
     ThreadPool::Global().ParallelFor(
-        0, ngroups, chunks, [&](int64_t gb, int64_t ge) {
+        0, ngroups, kMaxLoopChunks, [&](int64_t gb, int64_t ge) {
           for (int64_t gi = gb; gi < ge; ++gi) {
             out.groups_[static_cast<size_t>(gi)] =
                 BuildGroup(m, plan.groups[static_cast<size_t>(gi)],
                            &group_nnz[static_cast<size_t>(gi)]);
           }
         },
-        "compress");
+        "compress", num_threads);
   }
   out.nnz_ = 0;
   for (int64_t n : group_nnz) out.nnz_ += n;
@@ -467,7 +465,7 @@ MatrixBlock CompressedMatrixBlock::Decompress(int num_threads) const {
   MatrixBlock out = MatrixBlock::Dense(rows_, cols_);
   if (rows_ == 0 || cols_ == 0) return out;
   ThreadPool::Global().ParallelFor(
-      0, rows_, PickChunks(rows_, num_threads), [&](int64_t rb, int64_t re) {
+      0, rows_, PickChunks(rows_), [&](int64_t rb, int64_t re) {
         for (const ColGroup& g : groups_) {
           const int64_t c = g.NumCols();
           if (!g.IsCompressed()) {
@@ -490,7 +488,7 @@ MatrixBlock CompressedMatrixBlock::Decompress(int num_threads) const {
           }
         }
       },
-      "compress");
+      "compress", num_threads);
   out.ExamSparsity(nnz_);
   return out;
 }
@@ -531,10 +529,8 @@ double CompressedMatrixBlock::Sum(int num_threads) const {
   int64_t ngroups = static_cast<int64_t>(groups_.size());
   if (ngroups == 0) return 0.0;
   std::vector<double> partials(static_cast<size_t>(ngroups), 0.0);
-  int64_t chunks =
-      num_threads <= 1 ? 1 : std::min<int64_t>(num_threads, ngroups);
   ThreadPool::Global().ParallelFor(
-      0, ngroups, chunks, [&](int64_t gb, int64_t ge) {
+      0, ngroups, kMaxLoopChunks, [&](int64_t gb, int64_t ge) {
         for (int64_t gi = gb; gi < ge; ++gi) {
           const ColGroup& g = groups_[static_cast<size_t>(gi)];
           double sum = 0.0;
@@ -556,7 +552,7 @@ double CompressedMatrixBlock::Sum(int num_threads) const {
           partials[static_cast<size_t>(gi)] = sum;
         }
       },
-      "compress");
+      "compress", num_threads);
   double total = 0.0;
   for (double p : partials) total += p;
   return total;
@@ -755,7 +751,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::RightMatMult(
   // unchanged (groups ascend in column order, columns ascend within a
   // group), so results stay bit-identical to the row-major dense kernel.
   ThreadPool::Global().ParallelFor(
-      0, rows_, PickChunks(rows_, num_threads), [&](int64_t rb, int64_t re) {
+      0, rows_, PickChunks(rows_), [&](int64_t rb, int64_t re) {
         double* odata = vec_path ? out.DenseData() : nullptr;
         for (size_t gi = 0; gi < groups_.size(); ++gi) {
           const ColGroup& g = groups_[gi];
@@ -828,7 +824,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::RightMatMult(
           }
         }
       },
-      "compress");
+      "compress", num_threads);
   out.MarkNnzDirty();
   out.ExamSparsity();
   return out;
@@ -848,7 +844,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::LeftMatMult(
     return out;
   }
   const size_t ngroups = groups_.size();
-  const int64_t chunks = PickChunks(rows_, num_threads);
+  const int64_t chunks = PickChunks(rows_);
   const int64_t chunk_rows = (rows_ + chunks - 1) / chunks;
   // partials[chunk][group]: d x n bucket matrix for coded groups (rows
   // collapse into per-code b-row sums — value-indexed aggregation), c x n
@@ -900,7 +896,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::LeftMatMult(
           }
         }
       },
-      "compress");
+      "compress", num_threads);
   // Merge chunk partials in chunk order (deterministic for a fixed thread
   // count), then contract the coded buckets with the dictionaries.
   for (size_t gi = 0; gi < ngroups; ++gi) {
@@ -970,7 +966,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
   if (total_entries > (int64_t{1} << 27)) {
     return Unimplemented("compressed tsmm: dictionary domains too large");
   }
-  const int64_t chunks = PickChunks(rows_, num_threads);
+  const int64_t chunks = PickChunks(rows_);
   const int64_t chunk_rows = (rows_ + chunks - 1) / chunks;
   std::vector<std::vector<std::vector<uint32_t>>> chunk_counts(
       static_cast<size_t>(chunks));
@@ -1003,7 +999,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
           }
         }
       },
-      "compress");
+      "compress", num_threads);
   // Integer merge — exact regardless of chunk count, so the whole tsmm is
   // deterministic independent of threading.
   std::vector<std::vector<int64_t>> counts(pairs.size());
@@ -1023,13 +1019,8 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
     group_start[static_cast<size_t>(gi)] =
         groups_[static_cast<size_t>(gi)].cols.front();
   }
-  int64_t pair_chunks =
-      num_threads <= 1
-          ? 1
-          : std::min<int64_t>(num_threads,
-                              static_cast<int64_t>(pairs.size()));
   ThreadPool::Global().ParallelFor(
-      0, static_cast<int64_t>(pairs.size()), pair_chunks,
+      0, static_cast<int64_t>(pairs.size()), kMaxLoopChunks,
       [&](int64_t pb, int64_t pe) {
         for (int64_t p = pb; p < pe; ++p) {
           const Pair& pr = pairs[static_cast<size_t>(p)];
@@ -1076,7 +1067,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
           }
         }
       },
-      "compress");
+      "compress", num_threads);
   // Mirror the computed upper triangle into the lower one.
   double* pc = out.DenseData();
   for (int64_t i = 0; i < cols_; ++i) {

@@ -132,7 +132,7 @@ class CompressedMatrixBlock {
   const std::vector<ColGroup>& Groups() const { return groups_; }
 
   /// Reconstructs the uncompressed matrix (row-chunk parallel).
-  MatrixBlock Decompress(int num_threads = 1) const;
+  MatrixBlock Decompress(int num_threads = 0) const;
 
   double Get(int64_t r, int64_t c) const;
 
@@ -141,7 +141,7 @@ class CompressedMatrixBlock {
   /// sum(X): per-code counts times the dictionary (value-indexed
   /// pre-aggregation). Deterministic; approximately equal to the Kahan
   /// uncompressed aggregate.
-  double Sum(int num_threads = 1) const;
+  double Sum(int num_threads = 0) const;
 
   /// colSums(X) as 1 x cols.
   MatrixBlock ColSums() const;
@@ -159,29 +159,29 @@ class CompressedMatrixBlock {
   /// match the dense GEMM core exactly, so the result is bit-identical to
   /// MatMult on the decompressed input.
   StatusOr<MatrixBlock> RightMatMult(const MatrixBlock& b,
-                                     int num_threads = 1) const;
+                                     int num_threads = 0) const;
 
   /// X %*% v for v of shape cols x 1 (compat wrapper over RightMatMult).
   StatusOr<MatrixBlock> MatVecRight(const MatrixBlock& v) const {
-    return RightMatMult(v, 1);
+    return RightMatMult(v);
   }
 
   /// t(X) %*% b for b of shape rows x n: b-rows accumulate into per-code
   /// buckets (value-indexed aggregation), then one dictionary contraction
   /// per group.
   StatusOr<MatrixBlock> LeftMatMult(const MatrixBlock& b,
-                                    int num_threads = 1) const;
+                                    int num_threads = 0) const;
 
   /// t(X) %*% y compat wrapper over LeftMatMult.
   StatusOr<MatrixBlock> VecMatLeft(const MatrixBlock& y) const {
-    return LeftMatMult(y, 1);
+    return LeftMatMult(y);
   }
 
   /// t(X) %*% X via per-group-pair code co-occurrence counts contracted
   /// with the dictionaries: O(rows * pairs) counting plus O(di * dj) per
   /// pair, independent of the output size. Requires AllGroupsCompressed();
   /// Unimplemented otherwise (callers decompress and retry).
-  StatusOr<MatrixBlock> TsmmLeft(int num_threads = 1) const;
+  StatusOr<MatrixBlock> TsmmLeft(int num_threads = 0) const;
 
   /// X * scalar executed on dictionaries only (O(#distinct) per group).
   CompressedMatrixBlock ScaleByScalar(double s) const;

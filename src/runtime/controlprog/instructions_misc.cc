@@ -92,16 +92,15 @@ namespace {
 
 // Encode options for transformencode/transformapply: the compiler-planned
 // output format (falling back to the session config for instructions built
-// outside the compiler), the configured transform parallelism, and the
-// compression planner's min-ratio gate for kAuto pricing.
+// outside the compiler), the context's thread budget, and the compression
+// planner's min-ratio gate for kAuto pricing.
 EncodeOptions TransformEncodeOptions(ExecutionContext* ec,
                                      TransformOutputFormat planned) {
   const DMLConfig& cfg = ec->Config();
   EncodeOptions opts;
   opts.output =
       planned != TransformOutputFormat::kDense ? planned : cfg.transform_output;
-  opts.num_threads = cfg.transform_num_threads > 0 ? cfg.transform_num_threads
-                                                   : ec->NumThreads();
+  opts.num_threads = ec->NumThreads();
   opts.min_ratio = cfg.compression_min_ratio;
   return opts;
 }
@@ -282,9 +281,7 @@ Status ParamBuiltinInstr::Execute(ExecutionContext* ec) {
         MultiColumnEncoder enc,
         MultiColumnEncoder::FromMeta(tspec, mf->Frame(), lf->Frame().Cols()));
     SYSDS_ACQUIRE_READ(b, m);
-    auto decoded =
-        enc.Decode(b, lf->Frame(), TransformEncodeOptions(ec, planned_output)
-                                       .num_threads);
+    auto decoded = enc.Decode(b, lf->Frame(), ec->NumThreads());
     m->Release();
     if (!decoded.ok()) return decoded.status();
     ec->SetOutput(outputs()[0],

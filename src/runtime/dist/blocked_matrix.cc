@@ -99,13 +99,13 @@ StatusOr<BlockedMatrix> DistMatMult(const BlockedMatrix& a,
           const MatrixBlock* ab = a.BlockAt(bi, bk);
           const MatrixBlock* bb = b.BlockAt(bk, bj);
           if (ab == nullptr || bb == nullptr) continue;
-          SYSDS_ASSIGN_OR_RETURN(MatrixBlock prod, MatMult(*ab, *bb, 1));
+          SYSDS_ASSIGN_OR_RETURN(MatrixBlock prod, MatMult(*ab, *bb, 0));
           if (!has) {
             acc = std::move(prod);
             has = true;
           } else {
             SYSDS_ASSIGN_OR_RETURN(
-                acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, prod, 1));
+                acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc, prod, 0));
           }
         }
         if (has && acc.NonZeros() > 0) {
@@ -156,7 +156,7 @@ StatusOr<BlockedMatrix> DistTsmmLeft(const BlockedMatrix& x) {
         }
         if (!has) return MatrixBlock();
         stripe.MarkNnzDirty();
-        return TransposeSelfMatMult(stripe, true, 1);
+        return TransposeSelfMatMult(stripe, true, 0);
       },
       [&](int64_t bi, MatrixBlock&& part) {
         if (part.Rows() > 0) {
@@ -169,7 +169,7 @@ StatusOr<BlockedMatrix> DistTsmmLeft(const BlockedMatrix& x) {
     if (!present[static_cast<size_t>(bi)]) continue;
     SYSDS_ASSIGN_OR_RETURN(
         acc, BinaryMatrixMatrix(BinaryOpCode::kAdd, acc,
-                                partials[static_cast<size_t>(bi)], 1));
+                                partials[static_cast<size_t>(bi)], 0));
   }
   return BlockedMatrix::FromMatrix(acc, x.BlockSize());
 }
@@ -206,7 +206,7 @@ StatusOr<BlockedMatrix> DistBinary(const BlockedMatrix& a,
         MatrixBlock zero(rows, cols, /*sparse=*/true);
         const MatrixBlock& lhs = ab != nullptr ? *ab : zero;
         const MatrixBlock& rhs = bb != nullptr ? *bb : zero;
-        return BinaryMatrixMatrix(code, lhs, rhs, 1);
+        return BinaryMatrixMatrix(code, lhs, rhs, 0);
       },
       [&](int64_t t, MatrixBlock&& blk) {
         if (blk.NonZeros() > 0) {

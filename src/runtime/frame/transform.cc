@@ -44,20 +44,18 @@ int64_t NumFitChunks(int64_t rows) {
   return std::max<int64_t>(1, (rows + kFitChunkRows - 1) / kFitChunkRows);
 }
 
-// Runs fn(chunk_index) for every chunk in [0, num_chunks). Each fit chunk is
-// one schedulable unit (results are indexed by chunk id, so the scheduler's
-// chunk->thread assignment never affects them); the work-stealing pool
-// load-balances the chunks across however many workers are free. `threads`
-// is kept for call-site compatibility.
-void RunChunks(int64_t num_chunks, int threads,
+// Runs fn(chunk_index) for every chunk in [0, num_chunks) on at most
+// `num_threads` threads. Each fit chunk is one schedulable unit (results are
+// indexed by chunk id, so the scheduler's chunk->thread assignment never
+// affects them); the work-stealing pool load-balances the chunks.
+void RunChunks(int64_t num_chunks, int num_threads,
                const std::function<void(int64_t)>& fn) {
-  (void)threads;
   ThreadPool::Global().ParallelFor(
       0, num_chunks, num_chunks,
       [&](int64_t b, int64_t e) {
         for (int64_t i = b; i < e; ++i) fn(i);
       },
-      "transform");
+      "transform", num_threads);
 }
 
 }  // namespace
@@ -180,7 +178,6 @@ StatusOr<MultiColumnEncoder> MultiColumnEncoder::Fit(
     const FrameBlock& frame, const TransformSpec& spec, int num_threads) {
   SYSDS_SPAN("transform", "fit");
   transform_metrics::FitCalls()->Add();
-  const int threads = num_threads > 0 ? num_threads : DefaultParallelism();
 
   MultiColumnEncoder enc;
   enc.num_input_cols_ = frame.Cols();
@@ -234,7 +231,7 @@ StatusOr<MultiColumnEncoder> MultiColumnEncoder::Fit(
     std::vector<std::vector<ImputePartial>> partials(
         static_cast<size_t>(nchunks),
         std::vector<ImputePartial>(impute_cols.size()));
-    RunChunks(nchunks, threads, [&](int64_t ci) {
+    RunChunks(nchunks, num_threads, [&](int64_t ci) {
       auto [rb, re] = chunk_range(ci);
       for (size_t ic = 0; ic < impute_cols.size(); ++ic) {
         const int64_t c = impute_cols[ic];
@@ -329,7 +326,7 @@ StatusOr<MultiColumnEncoder> MultiColumnEncoder::Fit(
     std::vector<std::vector<FitPartial>> partials(
         static_cast<size_t>(nchunks),
         std::vector<FitPartial>(fit_cols.size()));
-    RunChunks(nchunks, threads, [&](int64_t ci) {
+    RunChunks(nchunks, num_threads, [&](int64_t ci) {
       auto [rb, re] = chunk_range(ci);
       for (size_t fc = 0; fc < fit_cols.size(); ++fc) {
         const int64_t c = fit_cols[fc];
@@ -505,8 +502,6 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
   }
   transform_metrics::ApplyCalls()->Add();
   transform_metrics::RowsEncoded()->Add(frame.Rows());
-  const int threads =
-      options.num_threads > 0 ? options.num_threads : DefaultParallelism();
   const int64_t rows = frame.Rows();
   const int64_t out_cols = NumOutputCols();
 
@@ -546,13 +541,13 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
 
   if (emit_compressed) {
     SYSDS_ASSIGN_OR_RETURN(CompressedMatrixBlock c,
-                           ApplyCompressed(frame, threads));
+                           ApplyCompressed(frame, options.num_threads));
     transform_metrics::DirectCompressedOutputs()->Add();
     return EncodedOutput::FromCompressed(std::move(c));
   }
 
   MatrixBlock m = MatrixBlock::Dense(rows, out_cols);
-  const int64_t chunks = PickChunks(rows, threads);
+  const int64_t chunks = PickChunks(rows);
   ThreadPool::Global().ParallelFor(
       0, rows, chunks, [&](int64_t rb, int64_t re) {
         for (int64_t c = 0; c < num_input_cols_; ++c) {
@@ -576,7 +571,7 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
           }
         }
       },
-      "transform");
+      "transform", options.num_threads);
   m.MarkNnzDirty();
   m.ExamSparsity();
   transform_metrics::DenseOutputs()->Add();
@@ -584,9 +579,9 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
 }
 
 StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
-    const FrameBlock& frame, int threads) const {
+    const FrameBlock& frame, int num_threads) const {
   const int64_t rows = frame.Rows();
-  const int64_t chunks = PickChunks(rows, threads);
+  const int64_t chunks = PickChunks(rows);
   std::vector<ColGroup> groups;
   groups.reserve(encoders_.size());
   int64_t nnz = 0;
@@ -645,7 +640,7 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
                                   static_cast<int64_t>(code) - code_shift);
                         });
           },
-          "transform");
+          "transform", num_threads);
       SYSDS_ASSIGN_OR_RETURN(
           ColGroup g, BuildDdcGroupFromCodes(std::move(gcols),
                                              std::move(dict), codes.data(),
@@ -677,7 +672,7 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
                           });
             }
           },
-          "transform");
+          "transform", num_threads);
       groups.push_back(BuildUncompressedGroup(std::move(gcols),
                                               std::move(values), rows,
                                               &nnz));
@@ -841,10 +836,8 @@ StatusOr<FrameBlock> MultiColumnEncoder::Decode(const MatrixBlock& m,
     return InvalidArgument("transformdecode: column count mismatch");
   }
   transform_metrics::DecodeCalls()->Add();
-  const int threads =
-      num_threads > 0 ? num_threads : DefaultParallelism();
   FrameBlock out(m.Rows(), like.Schema(), like.ColumnNames());
-  const int64_t chunks = PickChunks(m.Rows(), threads);
+  const int64_t chunks = PickChunks(m.Rows());
   ThreadPool::Global().ParallelFor(
       0, m.Rows(), chunks, [&](int64_t rb, int64_t re) {
         for (int64_t c = 0; c < num_input_cols_; ++c) {
@@ -877,7 +870,7 @@ StatusOr<FrameBlock> MultiColumnEncoder::Decode(const MatrixBlock& m,
           }
         }
       },
-      "transform");
+      "transform", num_threads);
   return out;
 }
 

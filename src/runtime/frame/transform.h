@@ -47,8 +47,8 @@ StatusOr<TransformSpec> ParseTransformSpec(const std::string& spec_json,
 /// compression planner and emits dense below the min-ratio gate.
 struct EncodeOptions {
   TransformOutputFormat output = TransformOutputFormat::kDense;
-  // Threads for the row-chunk parallel encode (0 = DefaultParallelism).
-  int num_threads = 1;
+  // Most threads on the row-chunk parallel encode (<= 0: the whole pool).
+  int num_threads = 0;
   // kAuto gate: emit compressed only when dense bytes / compressed bytes
   // reaches this ratio (same default as the compression planner).
   double min_ratio = 1.2;
@@ -74,7 +74,7 @@ class EncodedOutput {
   const CompressedMatrixBlock& Compressed() const { return compressed_; }
 
   /// Materializes an uncompressed MatrixBlock (decompressing if needed).
-  MatrixBlock ToMatrix(int num_threads = 1) const;
+  MatrixBlock ToMatrix(int num_threads = 0) const;
 
  private:
   bool is_compressed_ = false;
@@ -99,10 +99,10 @@ class EncodedOutput {
 class MultiColumnEncoder {
  public:
   /// Fits all encoders on the input frame (transformencode's first half).
-  /// num_threads = 0 means DefaultParallelism().
+  /// `num_threads` caps the threads on each fit loop (<= 0: the whole pool).
   static StatusOr<MultiColumnEncoder> Fit(const FrameBlock& frame,
                                           const TransformSpec& spec,
-                                          int num_threads = 1);
+                                          int num_threads = 0);
 
   /// Encodes a frame per the options. Unseen recode tokens map to 0
   /// (missing); unseen bin values clamp to boundary bins. The compressed
@@ -133,7 +133,7 @@ class MultiColumnEncoder {
   /// Inverse transform of recode/dummycode columns (transformdecode).
   /// Row-chunk parallel; rows are independent.
   StatusOr<FrameBlock> Decode(const MatrixBlock& m, const FrameBlock& like,
-                              int num_threads = 1) const;
+                              int num_threads = 0) const;
 
   /// Number of output matrix columns after dummy-coding expansion.
   int64_t NumOutputCols() const;
@@ -171,7 +171,7 @@ class MultiColumnEncoder {
   void AssignOutputOffsets();
 
   StatusOr<CompressedMatrixBlock> ApplyCompressed(const FrameBlock& frame,
-                                                  int threads) const;
+                                                  int num_threads) const;
 };
 
 }  // namespace sysds

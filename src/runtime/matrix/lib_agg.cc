@@ -127,7 +127,7 @@ StatusOr<MatrixBlock> AggregateRowCol(AggOpCode op, AggDirection dir,
     bool sum_fast = op == AggOpCode::kSum && !a.IsSparse();
     int64_t cols = a.Cols();
     ThreadPool::Global().ParallelFor(
-        0, a.Rows(), PickChunks(a.Rows(), num_threads),
+        0, a.Rows(), PickChunks(a.Rows()),
         [&](int64_t rb, int64_t re) {
           for (int64_t r = rb; r < re; ++r) {
             if (sum_fast) {
@@ -139,7 +139,7 @@ StatusOr<MatrixBlock> AggregateRowCol(AggOpCode op, AggDirection dir,
             c.DenseData()[r] = Finalize(op, stats);
           }
         },
-        "agg");
+        "agg", num_threads);
     c.MarkNnzDirty();
     return c;
   }

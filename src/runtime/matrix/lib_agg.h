@@ -67,8 +67,8 @@ inline bool SkipZeros(AggOpCode op) {
 
 /// Folds a partial into an accumulated total. Callers must merge partials
 /// strictly in chunk order — together with the static chunking from
-/// PickChunks this makes parallel reductions deterministic for a fixed
-/// (rows, num_threads).
+/// PickChunks this makes parallel reductions deterministic for a fixed row
+/// count, at any thread count.
 inline void Merge(CellStats* into, const CellStats& from) {
   into->sum.Add(from.sum.sum);
   into->sum.Add(-from.sum.corr);
@@ -142,7 +142,7 @@ template <typename MakeScan>
 CellStats FullAggChunked(int64_t rows, int num_threads,
                          const MakeScan& make_scan) {
   if (rows <= 0) return CellStats();
-  int64_t chunks = PickChunks(rows, num_threads);
+  int64_t chunks = PickChunks(rows);
   std::vector<CellStats> partials(static_cast<size_t>(chunks));
   int64_t chunk_rows = (rows + chunks - 1) / chunks;
   ThreadPool::Global().ParallelFor(
@@ -151,7 +151,7 @@ CellStats FullAggChunked(int64_t rows, int num_threads,
         CellStats& s = partials[static_cast<size_t>(rb / chunk_rows)];
         for (int64_t r = rb; r < re; ++r) scan(r, &s);
       },
-      "agg");
+      "agg", num_threads);
   CellStats total = partials[0];
   for (size_t i = 1; i < partials.size(); ++i) Merge(&total, partials[i]);
   return total;
@@ -164,7 +164,7 @@ CellStats FullAggChunked(int64_t rows, int num_threads,
 template <typename MakeScan>
 Kahan FullSumChunked(int64_t rows, int num_threads, const MakeScan& make_scan) {
   if (rows <= 0) return Kahan();
-  int64_t chunks = PickChunks(rows, num_threads);
+  int64_t chunks = PickChunks(rows);
   std::vector<Kahan> partials(static_cast<size_t>(chunks));
   int64_t chunk_rows = (rows + chunks - 1) / chunks;
   ThreadPool::Global().ParallelFor(
@@ -173,7 +173,7 @@ Kahan FullSumChunked(int64_t rows, int num_threads, const MakeScan& make_scan) {
         Kahan& k = partials[static_cast<size_t>(rb / chunk_rows)];
         for (int64_t r = rb; r < re; ++r) scan(r, &k);
       },
-      "agg");
+      "agg", num_threads);
   Kahan total = partials[0];
   for (size_t i = 1; i < partials.size(); ++i) {
     total.Add(partials[i].sum);
@@ -193,7 +193,7 @@ std::vector<CellStats> ColAggChunked(int64_t rows, int64_t cols,
     total.assign(static_cast<size_t>(cols), CellStats());
     return total;
   }
-  int64_t chunks = PickChunks(rows, num_threads);
+  int64_t chunks = PickChunks(rows);
   std::vector<std::vector<CellStats>> partials(static_cast<size_t>(chunks));
   int64_t chunk_rows = (rows + chunks - 1) / chunks;
   ThreadPool::Global().ParallelFor(
@@ -203,7 +203,7 @@ std::vector<CellStats> ColAggChunked(int64_t rows, int64_t cols,
         s.assign(static_cast<size_t>(cols), CellStats());
         for (int64_t r = rb; r < re; ++r) scan(r, s.data());
       },
-      "agg");
+      "agg", num_threads);
   for (std::vector<CellStats>& p : partials) {
     if (p.empty()) continue;
     if (total.empty()) {

@@ -56,10 +56,8 @@ StatusOr<MatrixBlock> RandMatrix(int64_t rows, int64_t cols, double min_val,
       }
     }
   };
-  ThreadPool::Global().ParallelFor(
-      0, num_blocks,
-      num_threads <= 1 ? 1 : std::min<int64_t>(num_threads, num_blocks),
-      gen_block, "datagen");
+  ThreadPool::Global().ParallelFor(0, num_blocks, kMaxLoopChunks, gen_block,
+                                   "datagen", num_threads);
   c.MarkNnzDirty();
   return c;
 }

@@ -135,7 +135,7 @@ StatusOr<MatrixBlock> BinaryMatrixMatrix(BinaryOpCode op,
   int64_t cols = a.Cols();
   std::atomic<int64_t> nnz{0};
   ThreadPool::Global().ParallelFor(
-      0, a.Rows(), PickChunks(a.Rows(), num_threads),
+      0, a.Rows(), PickChunks(a.Rows()),
       [&](int64_t rb, int64_t re) {
         int64_t local = 0;
         for (int64_t r = rb; r < re; ++r) {
@@ -156,7 +156,7 @@ StatusOr<MatrixBlock> BinaryMatrixMatrix(BinaryOpCode op,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise");
+      "elementwise", num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -187,7 +187,7 @@ MatrixBlock BinaryMatrixScalar(BinaryOpCode op, const MatrixBlock& a,
   int64_t cols = a.Cols();
   std::atomic<int64_t> nnz{0};
   ThreadPool::Global().ParallelFor(
-      0, a.Rows(), PickChunks(a.Rows(), num_threads),
+      0, a.Rows(), PickChunks(a.Rows()),
       [&](int64_t rb, int64_t re) {
         int64_t local = 0;
         for (int64_t r = rb; r < re; ++r) {
@@ -211,7 +211,7 @@ MatrixBlock BinaryMatrixScalar(BinaryOpCode op, const MatrixBlock& a,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise");
+      "elementwise", num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -237,7 +237,7 @@ MatrixBlock UnaryMatrix(UnaryOpCode op, const MatrixBlock& a,
   double zero_result = ApplyUnary(op, 0.0);
   std::atomic<int64_t> nnz{0};
   ThreadPool::Global().ParallelFor(
-      0, a.Rows(), PickChunks(a.Rows(), num_threads),
+      0, a.Rows(), PickChunks(a.Rows()),
       [&](int64_t rb, int64_t re) {
         int64_t local = 0;
         for (int64_t r = rb; r < re; ++r) {
@@ -256,7 +256,7 @@ MatrixBlock UnaryMatrix(UnaryOpCode op, const MatrixBlock& a,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise");
+      "elementwise", num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -277,7 +277,7 @@ StatusOr<MatrixBlock> TernaryIfElse(const MatrixBlock& cond,
   int64_t cols = cond.Cols();
   std::atomic<int64_t> nnz{0};
   ThreadPool::Global().ParallelFor(
-      0, cond.Rows(), PickChunks(cond.Rows(), num_threads),
+      0, cond.Rows(), PickChunks(cond.Rows()),
       [&](int64_t rb, int64_t re) {
         int64_t local = 0;
         for (int64_t r = rb; r < re; ++r) {
@@ -291,7 +291,7 @@ StatusOr<MatrixBlock> TernaryIfElse(const MatrixBlock& cond,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise");
+      "elementwise", num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }

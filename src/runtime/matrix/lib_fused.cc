@@ -275,7 +275,7 @@ StatusOr<FusedResult> ExecSparseDriver(
     MatrixBlock c = MatrixBlock::Sparse(rows, cols);
     std::atomic<int64_t> nnz{0};
     ThreadPool::Global().ParallelFor(
-        0, rows, PickChunks(rows, num_threads), [&](int64_t rb, int64_t re) {
+        0, rows, PickChunks(rows), [&](int64_t rb, int64_t re) {
           std::vector<double> tmp(nsteps);
           int64_t local = 0;
           for (int64_t r = rb; r < re; ++r) {
@@ -292,7 +292,7 @@ StatusOr<FusedResult> ExecSparseDriver(
           }
           nnz.fetch_add(local, std::memory_order_relaxed);
         },
-        "fused");
+        "fused", num_threads);
     c.SetNonZeros(nnz.load(std::memory_order_relaxed));
     FusedResult out;
     out.matrix = std::move(c);
@@ -339,7 +339,7 @@ StatusOr<FusedResult> ExecSparseDriver(
   if (plan.agg_dir == AggDirection::kRow) {
     MatrixBlock c = MatrixBlock::Dense(rows, 1);
     ThreadPool::Global().ParallelFor(
-        0, rows, PickChunks(rows, num_threads), [&](int64_t rb, int64_t re) {
+        0, rows, PickChunks(rows), [&](int64_t rb, int64_t re) {
           std::vector<double> tmp(nsteps);
           for (int64_t r = rb; r < re; ++r) {
             CellStats stats;
@@ -347,7 +347,7 @@ StatusOr<FusedResult> ExecSparseDriver(
             c.DenseData()[r] = agg::Finalize(plan.agg, stats);
           }
         },
-        "fused");
+        "fused", num_threads);
     c.MarkNnzDirty();
     FusedResult out;
     out.matrix = std::move(c);
@@ -651,7 +651,7 @@ StatusOr<FusedResult> ExecDenseDriver(
     MatrixBlock c = MatrixBlock::Dense(rows, cols);
     std::atomic<int64_t> nnz{0};
     ThreadPool::Global().ParallelFor(
-        0, rows, PickChunks(rows, num_threads), [&](int64_t rb, int64_t re) {
+        0, rows, PickChunks(rows), [&](int64_t rb, int64_t re) {
           DenseRowEvaluator ev(plan, inputs, scalars, rowvecs, cols);
           int64_t local = 0;
           for (int64_t r = rb; r < re; ++r) {
@@ -660,7 +660,7 @@ StatusOr<FusedResult> ExecDenseDriver(
           }
           nnz.fetch_add(local, std::memory_order_relaxed);
         },
-        "fused");
+        "fused", num_threads);
     // Sparsity re-examination happens only here at the region root, with
     // the inline nonzero count (no extra full scan for the pipeline).
     c.ExamSparsity(nnz.load(std::memory_order_relaxed));
@@ -699,7 +699,7 @@ StatusOr<FusedResult> ExecDenseDriver(
   if (plan.agg_dir == AggDirection::kRow) {
     MatrixBlock c = MatrixBlock::Dense(rows, 1);
     ThreadPool::Global().ParallelFor(
-        0, rows, PickChunks(rows, num_threads), [&](int64_t rb, int64_t re) {
+        0, rows, PickChunks(rows), [&](int64_t rb, int64_t re) {
           DenseRowEvaluator ev(plan, inputs, scalars, rowvecs, cols);
           for (int64_t r = rb; r < re; ++r) {
             if (sum_fast) {
@@ -713,7 +713,7 @@ StatusOr<FusedResult> ExecDenseDriver(
             c.DenseData()[r] = agg::Finalize(plan.agg, stats);
           }
         },
-        "fused");
+        "fused", num_threads);
     c.MarkNnzDirty();
     FusedResult out;
     out.matrix = std::move(c);

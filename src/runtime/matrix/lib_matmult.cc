@@ -362,11 +362,13 @@ void GemmSparseSparseRows(const MatrixBlock& a, const MatrixBlock& b,
 // cells [0, i) and reads completed upper-triangle cells).
 void MirrorLowerTriangle(double* pc, int64_t n, int num_threads) {
   ThreadPool::Global().ParallelFor(
-      0, n, PickChunks(n, num_threads), [&](int64_t rb, int64_t re) {
+      0, n, PickChunks(n),
+      [&](int64_t rb, int64_t re) {
         for (int64_t i = rb; i < re; ++i) {
           for (int64_t j = 0; j < i; ++j) pc[i * n + j] = pc[j * n + i];
         }
-      });
+      },
+      nullptr, num_threads);
 }
 
 // Deterministic pairwise tree reduction over chunk-id-indexed partials:
@@ -378,7 +380,7 @@ void MirrorLowerTriangle(double* pc, int64_t n, int num_threads) {
 // never ran, possible when the geometry leaves a tail chunk empty) are
 // skipped or moved, which is itself determined by the geometry alone.
 void TreeReducePartials(std::vector<std::vector<double>>* partials,
-                        int64_t len) {
+                        int64_t len, int num_threads) {
   auto& parts = *partials;
   int64_t count = static_cast<int64_t>(parts.size());
   for (int64_t stride = 1; stride < count; stride *= 2) {
@@ -401,7 +403,7 @@ void TreeReducePartials(std::vector<std::vector<double>>* partials,
             std::vector<double>().swap(src);
           }
         },
-        "matmult.reduce");
+        "matmult.reduce", num_threads);
   }
 }
 
@@ -415,11 +417,12 @@ StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
                            std::to_string(b.Rows()));
   }
   MatrixBlock c = MatrixBlock::Dense(a.Rows(), b.Cols());
-  int64_t chunks = PickChunks(a.Rows(), num_threads);
+  int64_t chunks = PickChunks(a.Rows());
   auto run = [&](auto fn) {
     ThreadPool::Global().ParallelFor(
         0, a.Rows(), chunks,
-        [&](int64_t rb, int64_t re) { fn(a, b, &c, rb, re); }, "matmult");
+        [&](int64_t rb, int64_t re) { fn(a, b, &c, rb, re); }, "matmult",
+        num_threads);
   };
   // Sparse-A paths split on cumulative row nnz instead of row count so a
   // few dense rows cannot straggle one chunk; output rows stay disjoint, so
@@ -430,7 +433,7 @@ StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
         0, a.Rows(), chunks,
         [&](int64_t i) { return a.SparseData().Row(i).Size() + 1; },
         [&](int64_t rb, int64_t re, int64_t) { fn(a, b, &c, rb, re); },
-        "matmult");
+        "matmult", num_threads);
   };
   if (!a.IsSparse() && !b.IsSparse()) {
     run(GemmDenseRows);
@@ -456,7 +459,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     int64_t m = x.Rows(), k = x.Cols();
     MatrixBlock c = MatrixBlock::Dense(m, m);
     ThreadPool::Global().ParallelForWeighted(
-        0, m, PickChunks(m, num_threads), [m](int64_t i) { return m - i; },
+        0, m, PickChunks(m), [m](int64_t i) { return m - i; },
         [&](int64_t rb, int64_t re, int64_t) {
           for (int64_t i = rb; i < re; ++i) {
             for (int64_t j = i; j < m; ++j) {
@@ -480,7 +483,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
             }
           }
         },
-        "tsmm");
+        "tsmm", num_threads);
     // Mirror the upper triangle.
     MirrorLowerTriangle(c.DenseData(), m, num_threads);
     c.MarkNnzDirty();
@@ -498,7 +501,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     const double* px = x.DenseData();
     double* pc = c.DenseData();
     ThreadPool::Global().ParallelForWeighted(
-        0, n, PickChunks(n, num_threads), [n](int64_t p) { return n - p; },
+        0, n, PickChunks(n), [n](int64_t p) { return n - p; },
         [&](int64_t pb, int64_t pe, int64_t) {
           for (int64_t p = pb; p < pe; ++p) {
             for (int64_t q = p; q < n; ++q) {
@@ -510,7 +513,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
             }
           }
         },
-        "tsmm");
+        "tsmm", num_threads);
     MirrorLowerTriangle(pc, n, num_threads);
     c.MarkNnzDirty();
     c.ExamSparsity();
@@ -547,15 +550,15 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     ThreadPool::Global().ParallelForWeighted(
         0, m, chunks,
         [&](int64_t i) { return x.SparseData().Row(i).Size() + 1; },
-        accumulate, "tsmm");
+        accumulate, "tsmm", num_threads);
   } else {
     int64_t chunk_rows = (m + chunks - 1) / chunks;
     ThreadPool::Global().ParallelFor(
         0, m, chunks,
         [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        "tsmm");
+        "tsmm", num_threads);
   }
-  TreeReducePartials(&partials, n * n);
+  TreeReducePartials(&partials, n * n, num_threads);
   MatrixBlock c = MatrixBlock::Dense(n, n);
   double* pc = c.DenseData();
   if (!partials.empty() && !partials[0].empty()) {
@@ -586,7 +589,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
     const double* pb = b.DenseData();
     double* pc = c.DenseData();
     ThreadPool::Global().ParallelFor(
-        0, n, PickChunks(n, num_threads),
+        0, n, PickChunks(n),
         [&](int64_t qb, int64_t qe) {
           for (int64_t p = qb; p < qe; ++p) {
             for (int64_t q = 0; q < l; ++q) {
@@ -598,7 +601,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
             }
           }
         },
-        "tlmm");
+        "tlmm", num_threads);
     c.MarkNnzDirty();
     c.ExamSparsity();
     return c;
@@ -662,15 +665,15 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
     ThreadPool::Global().ParallelForWeighted(
         0, m, chunks,
         [&](int64_t i) { return a.SparseData().Row(i).Size() + 1; },
-        accumulate, "tlmm");
+        accumulate, "tlmm", num_threads);
   } else {
     int64_t chunk_rows = (m + chunks - 1) / chunks;
     ThreadPool::Global().ParallelFor(
         0, m, chunks,
         [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        "tlmm");
+        "tlmm", num_threads);
   }
-  TreeReducePartials(&partials, n * l);
+  TreeReducePartials(&partials, n * l, num_threads);
   MatrixBlock c = MatrixBlock::Dense(n, l);
   double* pc = c.DenseData();
   if (!partials.empty() && !partials[0].empty()) {

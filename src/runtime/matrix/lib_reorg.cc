@@ -17,8 +17,7 @@ MatrixBlock Transpose(const MatrixBlock& a, int num_threads) {
     double* pc = c.DenseData();
     int64_t row_blocks = (rows + kBlk - 1) / kBlk;
     ThreadPool::Global().ParallelFor(
-        0, row_blocks,
-        num_threads <= 1 ? 1 : std::min<int64_t>(num_threads, row_blocks),
+        0, row_blocks, kMaxLoopChunks,
         [&](int64_t bb, int64_t be) {
           for (int64_t b = bb; b < be; ++b) {
             int64_t ib = b * kBlk, ie = std::min(rows, ib + kBlk);
@@ -32,7 +31,7 @@ MatrixBlock Transpose(const MatrixBlock& a, int num_threads) {
             }
           }
         },
-        "reorg");
+        "reorg", num_threads);
   } else {
     // Sparse transpose: counting pass then scatter keeps rows sorted.
     c.AllocateSparse();

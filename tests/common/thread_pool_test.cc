@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <mutex>
@@ -139,23 +140,39 @@ TEST(ThreadPoolTest, ParallelForWeightedIsolatesHeavyRow) {
 }
 
 TEST(ThreadPoolTest, PickChunksIgnoresThreadCount) {
-  // Determinism across parallelism levels hinges on the chunk count being a
-  // pure function of the row count.
+  // Determinism across parallelism levels hinges on the chunk geometry being
+  // a pure function of the row count: PickChunks sees only the rows, and
+  // ParallelFor's thread cap never moves a chunk boundary.
   for (int64_t rows : {0, 1, 8, 15, 16, 60, 1000, 1 << 20}) {
-    int64_t c1 = PickChunks(rows, 1);
-    EXPECT_EQ(c1, PickChunks(rows, 2));
-    EXPECT_EQ(c1, PickChunks(rows, 8));
-    EXPECT_EQ(c1, PickChunks(rows, 64));
-    EXPECT_GE(c1, 1);
-    EXPECT_LE(c1, kMaxLoopChunks);
+    int64_t c = PickChunks(rows);
+    EXPECT_GE(c, 1);
+    EXPECT_LE(c, kMaxLoopChunks);
   }
-  EXPECT_EQ(PickChunks(10, 8), 1);  // tiny inputs stay serial
+  EXPECT_EQ(PickChunks(10), 1);  // tiny inputs stay serial
+  ThreadPool pool(3);
+  const int64_t rows = 1024;
+  std::vector<std::pair<int64_t, int64_t>> want;
+  for (int max_threads : {1, 2, 4, 0}) {
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> got;
+    pool.ParallelFor(
+        0, rows, PickChunks(rows),
+        [&](int64_t b, int64_t e) {
+          std::lock_guard<std::mutex> lock(mu);
+          got.emplace_back(b, e);
+        },
+        nullptr, max_threads);
+    std::sort(got.begin(), got.end());
+    if (want.empty()) want = got;
+    EXPECT_EQ(got, want) << "max_threads=" << max_threads;
+  }
+  EXPECT_EQ(static_cast<int64_t>(want.size()), PickChunks(rows));
 }
 
 TEST(ThreadPoolTest, PickChunksBoundedCapsScratch) {
   // 1M rows with a 32 MB per-chunk accumulator: the 64 MB budget allows two
   // chunks even though the unbounded policy would pick kMaxLoopChunks.
-  EXPECT_EQ(PickChunks(1 << 20, 8), kMaxLoopChunks);
+  EXPECT_EQ(PickChunks(1 << 20), kMaxLoopChunks);
   EXPECT_EQ(PickChunksBounded(1 << 20, int64_t{32} << 20), 2);
   EXPECT_EQ(PickChunksBounded(1 << 20, 8), kMaxLoopChunks);
   EXPECT_GE(PickChunksBounded(1 << 20, int64_t{1} << 40), 1);

@@ -286,5 +286,17 @@ TEST_F(IoTest, MatrixKindDescriptorNeedsNoColumns) {
   EXPECT_FALSE(fail.ok());
 }
 
+TEST_F(IoTest, DescriptorRejectsInvalidNumThreads) {
+  for (const char* bad : {"-1", "2.5", "1e30", "\"4\""}) {
+    auto desc = ParseFormatDescriptor(
+        std::string(R"({"kind":"csv","num_threads":)") + bad + "}");
+    ASSERT_FALSE(desc.ok()) << bad;
+    EXPECT_EQ(desc.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  auto zero = ParseFormatDescriptor(R"({"kind":"csv","num_threads":0})");
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->num_threads, 0);
+}
+
 }  // namespace
 }  // namespace sysds

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/systemds_context.h"
 #include "common/thread_pool.h"
 #include "common/util.h"
 #include "obs/metrics.h"
@@ -300,6 +301,120 @@ TEST(SchedulerTest, SchedulerMetricsAdvance) {
   EXPECT_GT(reg.GetCounter("scheduler.chunks")->Value(), chunks_before);
   EXPECT_GE(reg.GetCounter("scheduler.tasks")->Value(), tasks_before);
   EXPECT_GT(imb->Count(), imb_before);
+}
+
+// Distinct threads that executed the chunks of one 64-chunk loop capped at
+// `max_threads`. Chunks sleep so that idle workers would join the loop if
+// the cap let them.
+std::set<std::thread::id> LoopThreads(int max_threads, bool weighted) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  auto body = [&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  };
+  if (weighted) {
+    ThreadPool::Global().ParallelForWeighted(
+        0, 64, 64, [](int64_t) { return 1; },
+        [&](int64_t, int64_t, int64_t) { body(); }, nullptr, max_threads);
+  } else {
+    ThreadPool::Global().ParallelFor(
+        0, 64, 64, [&](int64_t, int64_t) { body(); }, nullptr, max_threads);
+  }
+  return ids;
+}
+
+TEST(SchedulerTest, MaxThreadsOneRunsEveryChunkOnCaller) {
+  for (bool weighted : {false, true}) {
+    std::set<std::thread::id> ids = LoopThreads(1, weighted);
+    ASSERT_EQ(ids.size(), 1u) << "weighted=" << weighted;
+    EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+  }
+}
+
+TEST(SchedulerTest, MaxThreadsTwoUsesAtMostTwoThreads) {
+  // Two or more workers, so an uncapped loop would use three threads or more.
+  ASSERT_GE(ThreadPool::Global().num_threads(), 2u);
+  for (int rep = 0; rep < 5; ++rep) {
+    for (bool weighted : {false, true}) {
+      EXPECT_LE(LoopThreads(2, weighted).size(), 2u)
+          << "weighted=" << weighted << " rep=" << rep;
+    }
+  }
+}
+
+// Runs every task already queued on the pool, so that counter deltas taken
+// afterwards only see work started by the code under test.
+void DrainPool() {
+  while (ThreadPool::Global().TryRunPendingTask()) {
+  }
+}
+
+// A NumThreads(1) context never hands its kernels' chunks to pool workers:
+// nothing is queued, so no worker runs or steals a task while its gemm and
+// tsmm execute.
+TEST(SchedulerTest, NumThreadsOneContextRunsKernelsOnCaller) {
+  auto ctx = SystemDSContext::Builder().NumThreads(1).Build();
+  MatrixBlock x = Random(2000, 100, 1.0, 20);
+  MatrixBlock w = Random(100, 10, 1.0, 21);
+  auto& reg = obs::MetricsRegistry::Get();
+  obs::Counter* tasks = reg.GetCounter("scheduler.tasks");
+  obs::Counter* steals = reg.GetCounter("scheduler.steals");
+  DrainPool();
+  int64_t tasks_before = tasks->Value();
+  int64_t steals_before = steals->Value();
+  auto r = ctx->Execute("G = t(X) %*% X\nP = X %*% W\n",
+                        Inputs().Matrix("X", x).Matrix("W", w),
+                        Outputs("G", "P"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(tasks->Value() - tasks_before, 0);
+  EXPECT_EQ(steals->Value() - steals_before, 0);
+  auto g = r->GetMatrix("G");
+  auto p = r->GetMatrix("P");
+  ASSERT_TRUE(g.ok() && p.ok());
+  EXPECT_TRUE(BitIdentical(*g, *TransposeSelfMatMult(x, true, 1)));
+  EXPECT_TRUE(BitIdentical(*p, *MatMult(x, w, 1)));
+}
+
+// One script over lmDS, a fused elementwise+aggregate chain and rand gives
+// the same bits at every context thread budget.
+TEST(SchedulerTest, ContextResultsBitIdenticalAcrossNumThreads) {
+  const std::string script =
+      "X = rand(rows=5000, cols=40, min=-1, max=1, seed=7)\n"
+      "w = rand(rows=40, cols=1, seed=8)\n"
+      "y = X %*% w + 0.01 * rand(rows=5000, cols=1, seed=9)\n"
+      "B = lmDS(X, y, 0, 0.001)\n"
+      "R = rowSums(((X - 0.5) / 0.29)^2)\n"
+      "s = sum(R)\n";
+  obs::Counter* regions =
+      obs::MetricsRegistry::Get().GetCounter("fusion.regions");
+  const char* kMatrices[] = {"X", "B", "R"};
+  std::vector<std::vector<MatrixBlock>> matrices;
+  std::vector<double> sums;
+  for (int t : {1, 2, 4}) {
+    auto ctx = SystemDSContext::Builder().NumThreads(t).Build();
+    int64_t regions_before = regions->Value();
+    auto r = ctx->Execute(script, Inputs(), Outputs("X", "B", "R", "s"));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(regions->Value(), regions_before) << "no fused region, t=" << t;
+    matrices.emplace_back();
+    for (const char* name : kMatrices) {
+      auto m = r->GetMatrix(name);
+      ASSERT_TRUE(m.ok()) << name << ": " << m.status();
+      matrices.back().push_back(std::move(*m));
+    }
+    auto sum = r->GetDouble("s");
+    ASSERT_TRUE(sum.ok()) << sum.status();
+    sums.push_back(*sum);
+  }
+  for (size_t i = 1; i < matrices.size(); ++i) {
+    for (size_t k = 0; k < matrices[i].size(); ++k) {
+      EXPECT_TRUE(BitIdentical(matrices[0][k], matrices[i][k]))
+          << kMatrices[k] << " run " << i;
+    }
+    EXPECT_EQ(Bits(sums[0]), Bits(sums[i])) << "run " << i;
+  }
 }
 
 }  // namespace

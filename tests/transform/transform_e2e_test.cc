@@ -48,10 +48,7 @@ TEST_F(TransformE2ETest, CompressedSinkMatchesDenseThroughDml) {
   ASSERT_TRUE(r1.ok()) << r1.status();
   for (auto output : {TransformOutputFormat::kCompressed,
                       TransformOutputFormat::kAuto}) {
-    auto ctx = SystemDSContext::Builder()
-                   .TransformOutput(output)
-                   .TransformThreads(4)
-                   .Build();
+    auto ctx = SystemDSContext::Builder().TransformOutput(output).Build();
     auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s", "c"));
     ASSERT_TRUE(r2.ok()) << r2.status();
     EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
