@@ -94,10 +94,10 @@ struct DMLConfig {
   // Maximum width of a co-coded column group.
   int64_t compression_max_group_cols = 4;
 
-  // Feature-transform pipeline (runtime/frame/transform.h). The compiler
-  // plans the encode output format per instruction (PlanTransformOutputs):
-  // kDense is upgraded to kAuto when compression is enabled, so encode
-  // outputs feed downstream lmDS-style sweeps in compressed form.
+  // Feature-transform pipeline (runtime/frame/transform.h). Instruction
+  // generation plans the encode output format per instruction: kDense is
+  // upgraded to kAuto when compression is enabled, so encode outputs feed
+  // downstream lmDS-style sweeps in compressed form.
   TransformOutputFormat transform_output = TransformOutputFormat::kDense;
 
   // Print instruction-level statistics at the end of a script run.

@@ -217,6 +217,11 @@ class Compiler {
 
   // ---- block construction ----
 
+  bool IsDataDependent(const Expr& rhs) {
+    return rhs.kind == ExprKind::kCall &&
+           (rhs.name == "transformencode" || IsFunctionName(rhs.name));
+  }
+
   Status BuildBlocks(const std::vector<StmtPtr>& stmts,
                      SymbolInfoMap* symbols,
                      std::vector<ProgramBlockPtr>* out) {
@@ -233,6 +238,12 @@ class Compiler {
     for (const StmtPtr& stmt : stmts) {
       switch (stmt->kind) {
         case StmtKind::kAssign:
+          run.push_back(stmt.get());
+          // The output sizes of a function call or transformencode are
+          // known only once it has run: the statements after it form a new
+          // block, which recompiles against the live sizes.
+          if (IsDataDependent(*stmt->rhs)) SYSDS_RETURN_IF_ERROR(flush());
+          break;
         case StmtKind::kExpression:
           run.push_back(stmt.get());
           break;
@@ -491,8 +502,7 @@ class Compiler {
     auto block = std::make_unique<BasicBlock>();
     SYSDS_ASSIGN_OR_RETURN(block->Instructions(),
                            GenerateInstructions(roots, *config_));
-    block->HopRoots() = std::move(roots);
-    block->SetRequiresRecompile(unknown_sizes);
+    block->SetHops(std::move(roots), unknown_sizes);
     return StatusOr<ProgramBlockPtr>(std::move(block));
   }
 
@@ -964,11 +974,9 @@ StatusOr<HopPtr> Compiler::BuildCall(const Expr& e, BlockCtx* ctx) {
     auto hop = make(HopOp::kDataGen, opcode, DataType::kMatrix,
                     ValueType::kFP64);
     hop->AddInput(std::move(data_hop));
-    hop->AddInput(rows_hop);
-    hop->AddInput(cols_hop);
-    if (rows_hop->op() == HopOp::kLiteral && cols_hop->op() == HopOp::kLiteral) {
-      hop->set_dims(rows_hop->literal().AsInt(), cols_hop->literal().AsInt());
-    }
+    hop->AddInput(std::move(rows_hop));
+    hop->AddInput(std::move(cols_hop));
+    hop->RefreshSizeInformation();
     return hop;
   }
   if (name == "reshape") {
@@ -1045,14 +1053,6 @@ StatusOr<HopPtr> Compiler::BuildCall(const Expr& e, BlockCtx* ctx) {
     SYSDS_ASSIGN_OR_RETURN(
         HopPtr pdf_hop, BUILD_ARG_OR(args.Get(6, "pdf"),
                                      LitValue::String("uniform")));
-    if (rows_hop->op() == HopOp::kLiteral &&
-        cols_hop->op() == HopOp::kLiteral) {
-      hop->set_dims(rows_hop->literal().AsInt(), cols_hop->literal().AsInt());
-      if (sp_hop->op() == HopOp::kLiteral) {
-        hop->set_nnz(static_cast<int64_t>(sp_hop->literal().AsDouble() *
-                                          hop->dim1() * hop->dim2()));
-      }
-    }
     hop->AddInput(std::move(rows_hop));
     hop->AddInput(std::move(cols_hop));
     hop->AddInput(std::move(min_hop));
@@ -1060,6 +1060,7 @@ StatusOr<HopPtr> Compiler::BuildCall(const Expr& e, BlockCtx* ctx) {
     hop->AddInput(std::move(sp_hop));
     hop->AddInput(std::move(seed_hop));
     hop->AddInput(std::move(pdf_hop));
+    hop->RefreshSizeInformation();
     return hop;
   }
   if (name == "seq") {
@@ -1386,10 +1387,6 @@ StatusOr<std::unique_ptr<Program>> CompileDML(const std::string& source,
   if (config.compression_enabled) {
     SYSDS_SPAN("compiler", "compress_rewrite");
     InjectCompression(program.get(), config);
-  }
-  {
-    SYSDS_SPAN("compiler", "plan_transform_outputs");
-    PlanTransformOutputs(program.get(), config);
   }
   {
     SYSDS_SPAN("compiler", "loop_liveness");

@@ -196,7 +196,21 @@ class LopBuilder {
   }
 };
 
-StatusOr<InstructionPtr> LopToInstruction(const Lop& lop) {
+// Output representation of transformencode/transformapply: the configured
+// format, upgraded from kDense to kAuto when compression is enabled. Encode
+// outputs are natural compression candidates (the fitted dictionaries give
+// exact cardinalities), so the encoder prices each column and may emit a
+// CompressedMatrixBlock directly instead of dense-then-compress.
+TransformOutputFormat PlannedTransformOutput(const DMLConfig& config) {
+  if (config.transform_output == TransformOutputFormat::kDense &&
+      config.compression_enabled) {
+    return TransformOutputFormat::kAuto;
+  }
+  return config.transform_output;
+}
+
+StatusOr<InstructionPtr> LopToInstruction(const Lop& lop,
+                                          const DMLConfig& config) {
   const Hop* hop = lop.hop;
   InstructionPtr instr;
   auto param = [&](const std::string& key) -> std::string {
@@ -287,6 +301,10 @@ StatusOr<InstructionPtr> LopToInstruction(const Lop& lop) {
         std::stringstream ss(param("pnames"));
         std::string tok;
         while (std::getline(ss, tok, ',')) pb->ParamNames().push_back(tok);
+        if (lop.opcode == "transformencode" ||
+            lop.opcode == "transformapply") {
+          pb->planned_output = PlannedTransformOutput(config);
+        }
         instr = std::move(pb);
         break;
       }
@@ -352,11 +370,12 @@ StatusOr<std::vector<Lop>> BuildLops(const std::vector<HopPtr>& roots,
 }
 
 StatusOr<std::vector<InstructionPtr>> LopsToInstructions(
-    const std::vector<Lop>& lops) {
+    const std::vector<Lop>& lops, const DMLConfig& config) {
   std::vector<InstructionPtr> instructions;
   instructions.reserve(lops.size());
   for (const Lop& lop : lops) {
-    SYSDS_ASSIGN_OR_RETURN(InstructionPtr instr, LopToInstruction(lop));
+    SYSDS_ASSIGN_OR_RETURN(InstructionPtr instr,
+                           LopToInstruction(lop, config));
     instructions.push_back(std::move(instr));
   }
   return instructions;
@@ -370,7 +389,7 @@ StatusOr<std::vector<InstructionPtr>> GenerateInstructions(
       config.fusion_enabled ? PlanFusion(roots, config) : roots;
   SelectExecTypes(planned, config);
   SYSDS_ASSIGN_OR_RETURN(std::vector<Lop> lops, BuildLops(planned, config));
-  return LopsToInstructions(lops);
+  return LopsToInstructions(lops, config);
 }
 
 }  // namespace sysds

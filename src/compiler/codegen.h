@@ -20,9 +20,10 @@ void SelectExecTypes(const std::vector<HopPtr>& roots,
 StatusOr<std::vector<Lop>> BuildLops(const std::vector<HopPtr>& roots,
                                      const DMLConfig& config);
 
-/// Translates LOPs into executable runtime instructions.
+/// Translates LOPs into executable runtime instructions; the config fixes
+/// the output format of transformencode/transformapply.
 StatusOr<std::vector<InstructionPtr>> LopsToInstructions(
-    const std::vector<Lop>& lops);
+    const std::vector<Lop>& lops, const DMLConfig& config);
 
 /// Full lowering: exec-type selection + LOP construction + instruction
 /// generation (also used by the dynamic recompiler).

@@ -126,54 +126,4 @@ void InjectCompression(Program* program, const DMLConfig& config) {
   }
 }
 
-namespace {
-
-void StampInstructions(const std::vector<InstructionPtr>& instructions,
-                       TransformOutputFormat planned) {
-  for (const auto& instr : instructions) {
-    if (auto* pb = dynamic_cast<ParamBuiltinInstr*>(instr.get())) {
-      if (pb->opcode() == "transformencode" ||
-          pb->opcode() == "transformapply") {
-        pb->planned_output = planned;
-      }
-    }
-  }
-}
-
-void StampBlockList(const std::vector<ProgramBlockPtr>& blocks,
-                    TransformOutputFormat planned) {
-  for (const auto& block : blocks) {
-    ProgramBlock* b = block.get();
-    if (auto* bb = dynamic_cast<BasicBlock*>(b)) {
-      StampInstructions(bb->Instructions(), planned);
-    } else if (auto* ifb = dynamic_cast<IfBlock*>(b)) {
-      StampInstructions(ifb->GetPredicate().instructions, planned);
-      StampBlockList(ifb->ThenBlocks(), planned);
-      StampBlockList(ifb->ElseBlocks(), planned);
-    } else if (auto* wb = dynamic_cast<WhileBlock*>(b)) {
-      StampInstructions(wb->GetPredicate().instructions, planned);
-      StampBlockList(wb->Body(), planned);
-    } else if (auto* fb = dynamic_cast<ForBlock*>(b)) {
-      StampInstructions(fb->From().instructions, planned);
-      StampInstructions(fb->To().instructions, planned);
-      StampInstructions(fb->Increment().instructions, planned);
-      StampBlockList(fb->Body(), planned);
-    }
-  }
-}
-
-}  // namespace
-
-void PlanTransformOutputs(Program* program, const DMLConfig& config) {
-  TransformOutputFormat planned = config.transform_output;
-  if (planned == TransformOutputFormat::kDense && config.compression_enabled) {
-    planned = TransformOutputFormat::kAuto;
-  }
-  StampBlockList(program->Blocks(), planned);
-  for (auto& [name, fn] : program->Functions()) {
-    (void)name;
-    StampBlockList(fn->body, planned);
-  }
-}
-
 }  // namespace sysds

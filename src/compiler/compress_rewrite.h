@@ -15,15 +15,6 @@ namespace sysds {
 /// *where* compression could pay off.
 void InjectCompression(Program* program, const DMLConfig& config);
 
-/// Marks transformencode/transformapply instructions with their planned
-/// output representation: the configured transform_output, upgraded from
-/// kDense to kAuto when compression is enabled — encode outputs are natural
-/// compression candidates (the fitted dictionaries give exact cardinality),
-/// so the encoder prices each column and may emit a CompressedMatrixBlock
-/// directly instead of dense-then-compress. Runs unconditionally (the
-/// default plan is a no-op kDense stamp).
-void PlanTransformOutputs(Program* program, const DMLConfig& config);
-
 }  // namespace sysds
 
 #endif  // SYSDS_COMPILER_COMPRESS_REWRITE_H_

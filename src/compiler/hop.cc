@@ -1,6 +1,7 @@
 #include "compiler/hop.h"
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -140,7 +141,19 @@ void Hop::RefreshSizeInformation() {
       }
       break;
     case HopOp::kDataGen:
-      // dims set by the builder from rows/cols argument hops when literal.
+      // rand(rows, cols, min, max, sparsity, ...) and matrix(v, rows, cols)
+      // (fill/matfromstr); seq and sample sizes stay unknown.
+      if (opcode_ == "rand" || opcode_ == "fill" || opcode_ == "matfromstr") {
+        size_t r = opcode_ == "rand" ? 0 : 1;
+        dim1_ = in(r) ? KnownIntValue(*in(r)) : -1;
+        dim2_ = in(r + 1) ? KnownIntValue(*in(r + 1)) : -1;
+        nnz_ = -1;
+        if (opcode_ == "rand" && DimsKnown() && in(4) &&
+            in(4)->op() == HopOp::kLiteral) {
+          nnz_ = static_cast<int64_t>(in(4)->literal().AsDouble() * dim1_ *
+                                      dim2_);
+        }
+      }
       break;
     case HopOp::kBinary: {
       if (dt_ == DataType::kScalar) {
@@ -245,30 +258,27 @@ void Hop::RefreshSizeInformation() {
             nnz_ = -1;
           }
         } else if (opcode_ == "reshape") {
-          // dims from literal inputs 1, 2 when available
-          if (inputs_.size() >= 3 && in(1)->op() == HopOp::kLiteral &&
-              in(2)->op() == HopOp::kLiteral) {
-            dim1_ = in(1)->literal().AsInt();
-            dim2_ = in(2)->literal().AsInt();
-          }
+          dim1_ = in(1) ? KnownIntValue(*in(1)) : -1;
+          dim2_ = in(2) ? KnownIntValue(*in(2)) : -1;
           nnz_ = in(0)->nnz();
         }
       }
       break;
     case HopOp::kIndexing: {
       // inputs: X, rl, ru, cl, cu; literal upper bound -1 means "to end".
-      auto lit = [&](size_t k) -> int64_t {
+      auto bound = [&](size_t k, int64_t to_end) -> int64_t {
         Hop* h = in(k);
-        if (h == nullptr || h->op() != HopOp::kLiteral) return INT64_MIN;
-        return h->literal().AsInt();
+        if (h == nullptr) return -1;
+        if (h->op() == HopOp::kLiteral && h->literal().AsInt() == -1) {
+          return to_end;
+        }
+        return KnownIntValue(*h);
       };
-      int64_t rl = lit(1), ru = lit(2), cl = lit(3), cu = lit(4);
-      int64_t in_rows = in(0) ? in(0)->dim1() : -1;
-      int64_t in_cols = in(0) ? in(0)->dim2() : -1;
-      if (ru == -1 && in_rows >= 0) ru = in_rows;
-      if (cu == -1 && in_cols >= 0) cu = in_cols;
-      dim1_ = (rl > 0 && ru > 0) ? ru - rl + 1 : -1;
-      dim2_ = (cl > 0 && cu > 0) ? cu - cl + 1 : -1;
+      int64_t rl = bound(1, -1), cl = bound(3, -1);
+      int64_t ru = bound(2, in(0) ? in(0)->dim1() : -1);
+      int64_t cu = bound(4, in(0) ? in(0)->dim2() : -1);
+      dim1_ = (rl > 0 && ru >= rl) ? ru - rl + 1 : -1;
+      dim2_ = (cl > 0 && cu >= cl) ? cu - cl + 1 : -1;
       nnz_ = -1;
       break;
     }
@@ -305,9 +315,18 @@ void Hop::RefreshSizeInformation() {
       break;
     }
     case HopOp::kTernary:
-      if (opcode_ == "ifelse" && in(0)) {
-        dim1_ = in(0)->dim1();
-        dim2_ = in(0)->dim2();
+      if (opcode_ == "ifelse") {
+        // The test may be a scalar: the first matrix among test/yes/no
+        // gives the output shape (none: a scalar result).
+        const Hop* shape = nullptr;
+        for (const HopPtr& h : inputs_) {
+          if (h->data_type() == DataType::kMatrix) {
+            shape = h.get();
+            break;
+          }
+        }
+        dim1_ = shape != nullptr ? shape->dim1() : 0;
+        dim2_ = shape != nullptr ? shape->dim2() : 0;
       }
       nnz_ = -1;
       break;
@@ -392,6 +411,45 @@ HopPtr MakeTransientWrite(const std::string& name, HopPtr input) {
   h->AddInput(std::move(input));
   h->RefreshSizeInformation();
   return h;
+}
+
+int64_t KnownIntValue(const Hop& hop) {
+  const std::vector<HopPtr>& in = hop.inputs();
+  switch (hop.op()) {
+    case HopOp::kLiteral: {
+      const LitValue& v = hop.literal();
+      if (v.vt == ValueType::kInt64) return v.i >= 0 ? v.i : -1;
+      if (v.vt == ValueType::kFP64 && v.d >= 0 && v.d < 9.0e18 &&
+          v.d == std::floor(v.d)) {
+        return static_cast<int64_t>(v.d);
+      }
+      return -1;
+    }
+    case HopOp::kUnary: {
+      if (in.size() != 1 || in[0]->data_type() == DataType::kScalar) return -1;
+      const Hop& x = *in[0];
+      if (hop.opcode() == "nrow") return x.dim1();
+      if (hop.opcode() == "ncol") return x.dim2();
+      if (hop.opcode() == "length" && x.DimsKnown()) {
+        return x.dim1() * x.dim2();
+      }
+      return -1;
+    }
+    case HopOp::kBinary: {
+      if (in.size() != 2 || hop.data_type() != DataType::kScalar) return -1;
+      int64_t a = KnownIntValue(*in[0]);
+      int64_t b = KnownIntValue(*in[1]);
+      if (a < 0 || b < 0) return -1;
+      if (hop.opcode() == "+") return a + b;
+      if (hop.opcode() == "-") return a >= b ? a - b : -1;
+      if (hop.opcode() == "*") {
+        return b == 0 || a <= INT64_MAX / b ? a * b : -1;
+      }
+      return -1;
+    }
+    default:
+      return -1;
+  }
 }
 
 namespace {

@@ -143,6 +143,12 @@ HopPtr MakeTransientRead(const std::string& name, DataType dt, ValueType vt,
                          int64_t dim1, int64_t dim2, int64_t nnz);
 HopPtr MakeTransientWrite(const std::string& name, HopPtr input);
 
+/// The integer value of a scalar hop when it is known at compile time, else
+/// -1. A value is known when it is a literal, `nrow`, `ncol` or `length` of
+/// an input whose dims are known, or `+`, `-` or `*` of known values. Only
+/// non-negative values count as known (they size dims and index bounds).
+int64_t KnownIntValue(const Hop& hop);
+
 /// Runs size propagation over the DAG roots (post-order, memoized).
 void PropagateSizes(const std::vector<HopPtr>& roots);
 

@@ -2,34 +2,50 @@
 
 #include "common/statistics.h"
 #include "compiler/codegen.h"
-#include "compiler/hop.h"
 #include "obs/trace.h"
-#include "runtime/controlprog/program.h"
+#include "runtime/controlprog/execution_context.h"
 
 namespace sysds {
 
-Status RecompileBasicBlock(BasicBlock* block, ExecutionContext* ec) {
-  if (block->HopRoots().empty()) return Status::Ok();
-  SYSDS_SPAN("compiler", "recompile");
-  Statistics::Get().IncCounter("compiler.recompilations");
-
-  for (Hop* hop : TopoOrder(block->HopRoots())) {
-    if (hop->op() != HopOp::kTransientRead) continue;
-    DataPtr d = ec->Vars().GetOrNull(hop->name());
-    if (d == nullptr) continue;
-    if (auto* m = dynamic_cast<MatrixObject*>(d.get())) {
-      hop->set_dims(m->Rows(), m->Cols());
-      hop->set_nnz(m->NonZeros());
-    } else if (auto* f = dynamic_cast<FrameObject*>(d.get())) {
-      hop->set_dims(f->Frame().Rows(), f->Frame().Cols());
+std::vector<Hop*> SizeKeyReads(const std::vector<HopPtr>& roots) {
+  std::vector<Hop*> reads;
+  for (Hop* hop : TopoOrder(roots)) {
+    if (hop->op() == HopOp::kTransientRead &&
+        hop->data_type() != DataType::kScalar) {
+      reads.push_back(hop);
     }
   }
-  PropagateSizes(block->HopRoots());
-  SYSDS_ASSIGN_OR_RETURN(
-      std::vector<InstructionPtr> instructions,
-      GenerateInstructions(block->HopRoots(), ec->Config()));
-  block->Instructions() = std::move(instructions);
-  return Status::Ok();
+  return reads;
+}
+
+std::vector<int64_t> SizeKey(const std::vector<Hop*>& reads,
+                             const SymbolTable& vars) {
+  std::vector<int64_t> key(3 * reads.size(), -1);
+  for (size_t k = 0; k < reads.size(); ++k) {
+    DataPtr d = vars.GetOrNull(reads[k]->name());
+    if (auto* m = dynamic_cast<MatrixObject*>(d.get())) {
+      key[3 * k] = m->Rows();
+      key[3 * k + 1] = m->Cols();
+      key[3 * k + 2] = m->NonZeros();
+    } else if (auto* f = dynamic_cast<FrameObject*>(d.get())) {
+      key[3 * k] = f->Frame().Rows();
+      key[3 * k + 1] = f->Frame().Cols();
+    }
+  }
+  return key;
+}
+
+StatusOr<std::vector<InstructionPtr>> RecompileHops(
+    const std::vector<HopPtr>& roots, const std::vector<Hop*>& reads,
+    const std::vector<int64_t>& key, const DMLConfig& config) {
+  SYSDS_SPAN("compiler", "recompile");
+  Statistics::Get().IncCounter("compiler.recompilations");
+  for (size_t k = 0; k < reads.size(); ++k) {
+    reads[k]->set_dims(key[3 * k], key[3 * k + 1]);
+    reads[k]->set_nnz(key[3 * k + 2]);
+  }
+  PropagateSizes(roots);
+  return GenerateInstructions(roots, config);
 }
 
 }  // namespace sysds

@@ -123,6 +123,7 @@ std::unique_ptr<ExecutionContext> ExecutionContext::CreateChild() const {
   child->pool_ = pool_;
   child->federated_ = federated_;
   child->out_ = out_;
+  child->recompile_allowed_ = recompile_allowed_;
   child->has_deadline_ = has_deadline_;
   child->deadline_ = deadline_;
   child->cancel_ = cancel_;

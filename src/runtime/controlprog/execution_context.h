@@ -109,8 +109,10 @@ class ExecutionContext {
   std::ostream& Out() const { return *out_; }
   void SetOut(std::ostream* out) { out_ = out; }
 
-  // Dynamic recompilation is disabled inside parfor workers because program
-  // blocks are shared across worker threads.
+  // Whether basic blocks may recompile for live sizes. Prepared scripts turn
+  // it off (their sizes come from Prepare); function calls and parfor
+  // workers inherit it. Size-keyed plans make recompiling a block that
+  // other threads are running safe.
   bool RecompileAllowed() const { return recompile_allowed_; }
   void SetRecompileAllowed(bool v) { recompile_allowed_ = v; }
 

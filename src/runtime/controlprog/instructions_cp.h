@@ -187,8 +187,8 @@ class ParamBuiltinInstr final : public Instruction {
   std::vector<std::string>& ParamNames() { return param_names_; }
 
   /// Planned output representation for transformencode/transformapply,
-  /// stamped by the compiler's PlanTransformOutputs pass: kDense unless the
-  /// config (or the compression rewrite) marks encode outputs
+  /// chosen by instruction generation from the config: kDense unless the
+  /// config (or compression enablement) marks encode outputs
   /// compression-eligible, in which case Apply prices bytes per column and
   /// may emit a CompressedMatrixBlock directly.
   TransformOutputFormat planned_output = TransformOutputFormat::kDense;

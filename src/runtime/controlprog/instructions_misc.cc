@@ -91,17 +91,14 @@ bool ParamBuiltinInstr::IsReusable() const {
 namespace {
 
 // Encode options for transformencode/transformapply: the compiler-planned
-// output format (falling back to the session config for instructions built
-// outside the compiler), the context's thread budget, and the compression
-// planner's min-ratio gate for kAuto pricing.
+// output format, the context's thread budget, and the compression planner's
+// min-ratio gate for kAuto pricing.
 EncodeOptions TransformEncodeOptions(ExecutionContext* ec,
                                      TransformOutputFormat planned) {
-  const DMLConfig& cfg = ec->Config();
   EncodeOptions opts;
-  opts.output =
-      planned != TransformOutputFormat::kDense ? planned : cfg.transform_output;
+  opts.output = planned;
   opts.num_threads = ec->NumThreads();
-  opts.min_ratio = cfg.compression_min_ratio;
+  opts.min_ratio = ec->Config().compression_min_ratio;
   return opts;
 }
 

@@ -162,10 +162,33 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
   return Status::Ok();
 }
 
+void BasicBlock::SetHops(std::vector<HopPtr> roots, bool requires_recompile) {
+  hop_roots_ = std::move(roots);
+  requires_recompile_ = requires_recompile && !hop_roots_.empty();
+  key_reads_ = SizeKeyReads(hop_roots_);
+}
+
+StatusOr<std::shared_ptr<const BasicBlock::Plan>> BasicBlock::PlanFor(
+    ExecutionContext* ec) {
+  std::vector<int64_t> key = SizeKey(key_reads_, ec->Vars());
+  // Recompilation must stay serial: a thread-pool join under this lock could
+  // run another task of the same parfor, which would block on it.
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  if (plan_ == nullptr || plan_->key != key) {
+    SYSDS_ASSIGN_OR_RETURN(
+        std::vector<InstructionPtr> instructions,
+        RecompileHops(hop_roots_, key_reads_, key, ec->Config()));
+    plan_ = std::make_shared<const Plan>(
+        Plan{std::move(key), std::move(instructions)});
+  }
+  return plan_;
+}
+
 Status BasicBlock::Execute(ExecutionContext* ec) {
   if (requires_recompile_ && ec->Config().dynamic_recompilation &&
       ec->RecompileAllowed()) {
-    SYSDS_RETURN_IF_ERROR(RecompileBasicBlock(this, ec));
+    SYSDS_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan, PlanFor(ec));
+    return ExecuteInstructions(plan->instructions, ec);
   }
   return ExecuteInstructions(instructions_, ec);
 }
@@ -422,7 +445,6 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
         if (li != nullptr) child->Lineage()->Set(name, li);
       }
     }
-    child->SetRecompileAllowed(false);  // blocks are shared across workers
     workers.push_back(std::move(child));
   }
 
@@ -552,7 +574,6 @@ Status FunctionBlock::Execute(ExecutionContext* caller,
     callee->SetVar(params[p].name, std::move(value));
   }
 
-  callee->SetRecompileAllowed(caller->RecompileAllowed());
   for (const ProgramBlockPtr& b : body) {
     SYSDS_RETURN_IF_ERROR(b->Execute(callee.get()));
   }

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,23 +40,46 @@ struct LoopLiveness {
 };
 
 /// A straight-line sequence of instructions compiled from one HOP DAG.
+///
+/// A block whose DAG had unknown sizes at compile time is recompiled before
+/// it runs (paper §2.3(3)). The recompiled plan is keyed by the live dims
+/// and nnz of the block's matrix/frame transient reads: a run whose key
+/// matches the current plan reuses it; otherwise the block recompiles under
+/// its mutex and swaps the new plan in, while threads still running the old
+/// plan keep it alive (they hold a shared_ptr to it). So function bodies and
+/// parfor bodies, which many threads share, can recompile. The static plan
+/// (`Instructions()`) is never overwritten; `Explain` and the checkpoint
+/// program hash use it.
 class BasicBlock final : public ProgramBlock {
  public:
   Status Execute(ExecutionContext* ec) override;
 
+  /// The static plan: the instructions generated at compile time.
   std::vector<InstructionPtr>& Instructions() { return instructions_; }
-  std::vector<HopPtr>& HopRoots() { return hop_roots_; }
-  const std::vector<HopPtr>& HopRoots() const { return hop_roots_; }
 
-  void SetRequiresRecompile(bool v) { requires_recompile_ = v; }
-  bool RequiresRecompile() const { return requires_recompile_; }
+  /// Attaches the block's HOP DAG; with `requires_recompile`, Execute
+  /// compiles a size-keyed plan from it whenever recompilation is enabled.
+  void SetHops(std::vector<HopPtr> roots, bool requires_recompile);
 
   void Explain(std::ostream& os, int indent) const override;
 
  private:
+  struct Plan {
+    std::vector<int64_t> key;
+    std::vector<InstructionPtr> instructions;
+  };
+
+  /// The plan for the live sizes in `ec`, recompiled if the key changed.
+  StatusOr<std::shared_ptr<const Plan>> PlanFor(ExecutionContext* ec);
+
   std::vector<InstructionPtr> instructions_;
   std::vector<HopPtr> hop_roots_;
   bool requires_recompile_ = false;
+  // The transient reads the key is taken from (owned by hop_roots_).
+  std::vector<Hop*> key_reads_;
+  // Guards plan_ and, while recompiling, the sizes in hop_roots_.
+  std::mutex plan_mu_;
+  std::shared_ptr<const Plan> plan_;
 };
 
 /// A compiled predicate: instructions that produce a scalar in `result_var`.

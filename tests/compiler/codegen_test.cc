@@ -19,7 +19,7 @@ std::vector<InstructionPtr> Gen(std::vector<HopPtr> roots,
   SelectExecTypes(roots, config);
   auto lops = BuildLops(roots, config);
   EXPECT_TRUE(lops.ok()) << lops.status();
-  auto instrs = LopsToInstructions(*lops);
+  auto instrs = LopsToInstructions(*lops, config);
   EXPECT_TRUE(instrs.ok()) << instrs.status();
   return instrs.ok() ? std::move(*instrs) : std::vector<InstructionPtr>{};
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "api/systemds_context.h"
 #include "common/statistics.h"
+#include "obs/metrics.h"
 
 namespace sysds {
 namespace {
@@ -68,6 +72,96 @@ TEST(RecompileTest, LoopWithGrowingMatrix) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("c"), 6.0);
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 6.0);
+}
+
+// Executed instructions of the distributed backend (opcode prefix "sp_"),
+// from the instruction statistics of contexts built with Statistics().
+int64_t DistInstructionsExecuted() {
+  int64_t n = 0;
+  for (const auto& s : obs::MetricsRegistry::Get().Instructions()) {
+    if (s.name.rfind("sp_", 0) == 0) n += s.count;
+  }
+  return n;
+}
+
+TEST(RecompileTest, LmDSOnKnownSizesRunsNoDistInstruction) {
+  // lmDS sizes l = matrix(reg, ncol(X), 1) from ncol(X): once X's size is
+  // known, t(X)%*%X + diag(l) fits the CP budget and never runs sp_+.
+  auto ctx = SystemDSContext::Builder().Statistics().Build();
+  Statistics::Get().Reset();
+  auto r = ctx->Execute(
+      "X = rand(rows=200, cols=20, seed=1)\n"
+      "y = rand(rows=200, cols=1, seed=2)\n"
+      "B = lmDS(X, y, 0, 0.001)\n"
+      "n = nrow(B)\n",
+      Inputs(), Outputs("n"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 20.0);
+  EXPECT_EQ(DistInstructionsExecuted(), 0);
+}
+
+TEST(RecompileTest, TransformEncodeThenFunctionCallRunsNoDistInstruction) {
+  // The statements after transformencode and after lmCG form new blocks
+  // that recompile against the encoded matrix and the model: X %*% B runs
+  // in CP.
+  const std::string path = "recomp_prep.csv";
+  {
+    std::ofstream out(path);
+    out << "city,num,label\n";
+    const char* cities[] = {"graz", "vienna", "linz", "salzburg"};
+    for (int i = 0; i < 400; ++i) {
+      out << cities[i % 4] << "," << (i % 17) << "," << (i % 5) << "\n";
+    }
+  }
+  auto ctx = SystemDSContext::Builder().Statistics().Build();
+  Statistics::Get().Reset();
+  auto r = ctx->Execute(
+      "F = read('" + path + "', data_type='frame', header=TRUE)\n"
+      "[Xall, M] = transformencode(target=F, "
+      "spec='{\"recode\":[\"city\"],\"dummycode\":[\"city\"]}')\n"
+      "width = ncol(Xall)\n"
+      "X = Xall[, 1:(width - 1)]\n"
+      "y = Xall[, width]\n"
+      "B = lmCG(X, y, 0, 0.001, 1e-12, 20)\n"
+      "r = y - X %*% B\n"
+      "res = sum(r^2)\n"
+      "ynorm = sum(y^2)\n",
+      Inputs(), Outputs("width", "res", "ynorm"));
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_DOUBLE_EQ(*r->GetDouble("width"), 6.0);
+  EXPECT_LT(*r->GetDouble("res"), *r->GetDouble("ynorm"));
+  EXPECT_EQ(DistInstructionsExecuted(), 0);
+}
+
+TEST(RecompileTest, FunctionRecompilesOnlyWhenInputSizesChange) {
+  // f's body recompiles for the sizes of each call's inputs, and reuses its
+  // plan while they stay the same: A, A, B, B, A recompiles three times.
+  auto ctx = SystemDSContext::Builder().Statistics().Build();
+  Statistics::Get().Reset();
+  auto r = ctx->Execute(
+      "f = function(Matrix[Double] X, Matrix[Double] v) return (Double s) {\n"
+      "  s = sum((X - v)^2)\n"
+      "}\n"
+      "A = rand(rows=50, cols=1, seed=1)\n"
+      "B = rand(rows=50, cols=3, seed=2)\n"
+      "v = rand(rows=50, cols=1, seed=3)\n"
+      "s1 = f(A, v)\n"
+      "s2 = f(A, v)\n"
+      "s3 = f(B, v)\n"
+      "s4 = f(B, v)\n"
+      "s5 = f(A, v)\n"
+      "ea = sum((A - v)^2)\n"
+      "eb = sum((B - v)^2)\n",
+      Inputs(), Outputs("s1", "s2", "s3", "s4", "s5", "ea", "eb"));
+  ASSERT_TRUE(r.ok()) << r.status();
+  for (const char* s : {"s1", "s2", "s5"}) {
+    EXPECT_DOUBLE_EQ(*r->GetDouble(s), *r->GetDouble("ea")) << s;
+  }
+  for (const char* s : {"s3", "s4"}) {
+    EXPECT_DOUBLE_EQ(*r->GetDouble(s), *r->GetDouble("eb")) << s;
+  }
+  EXPECT_EQ(Statistics::Get().GetCounter("compiler.recompilations"), 3);
 }
 
 TEST(ParamServTest, DmlLevelParamservBuiltin) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "api/systemds_context.h"
+#include "obs/metrics.h"
 
 namespace sysds {
 namespace {
@@ -68,6 +69,29 @@ TEST_F(TransformE2ETest, CompressionEnabledUpgradesEncodeOutputs) {
   auto r2 = ctx->Execute(Script(), Inputs(), Outputs("s"));
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_DOUBLE_EQ(*r2->GetDouble("s"), *r1->GetDouble("s"));
+}
+
+TEST_F(TransformE2ETest, RecompiledEncodeKeepsPlannedOutputFormat) {
+  // read() leaves the frame's size unknown, so the encode block recompiles
+  // before it runs; the recompiled transformencode must keep the configured
+  // format: kCompressed, and kAuto under compression enablement (this data
+  // clears the min-ratio gate, so kAuto compresses too).
+  DMLConfig compressed;
+  compressed.transform_output = TransformOutputFormat::kCompressed;
+  DMLConfig compression_enabled;
+  compression_enabled.compression_enabled = true;
+  for (const DMLConfig& config : {compressed, compression_enabled}) {
+    auto ctx = SystemDSContext::Builder().WithConfig(config).Build();
+    auto& registry = obs::MetricsRegistry::Get();
+    int64_t recompiles = registry.CounterValue("compiler.recompilations");
+    int64_t direct =
+        registry.CounterValue("transform.direct_compressed_outputs");
+    auto r = ctx->Execute(Script(), Inputs(), Outputs("s"));
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GT(registry.CounterValue("compiler.recompilations"), recompiles);
+    EXPECT_EQ(registry.CounterValue("transform.direct_compressed_outputs"),
+              direct + 1);
+  }
 }
 
 }  // namespace
