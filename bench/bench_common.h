@@ -11,10 +11,27 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 namespace sysds_bench {
+
+/// The machine a result was measured on: hardware threads, CPU model and
+/// clock (from /proc/cpuinfo where it exists).
+inline std::string HostLine() {
+  std::string model = "unknown cpu", mhz = "?";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) continue;
+    if (line.rfind("model name", 0) == 0) model = line.substr(colon + 2);
+    if (line.rfind("cpu MHz", 0) == 0) mhz = line.substr(colon + 2);
+    if (model != "unknown cpu" && mhz != "?") break;
+  }
+  return "cores=" + std::to_string(std::thread::hardware_concurrency()) +
+         " cpu=" + model + " mhz=" + mhz;
+}
 
 struct Scale {
   int64_t rows;
@@ -71,7 +88,8 @@ inline void PrintRow(double x, const std::vector<double>& values) {
 /// figure-regeneration drivers that don't use the google-benchmark runner).
 /// Accumulates named records of {metric, value} pairs and writes them as
 ///   {"scale": "...", "benchmarks": [{"name": "...", "m1": v1, ...}, ...]}
-/// so CI can diff runs without scraping stdout tables.
+/// so CI can diff runs without scraping stdout tables. A "host" line
+/// (HostLine()) records the machine the numbers come from.
 class JsonResultWriter {
  public:
   explicit JsonResultWriter(std::string path) : path_(std::move(path)) {}
@@ -86,6 +104,7 @@ class JsonResultWriter {
     if (!out) return false;
     const char* env = std::getenv("SYSDS_BENCH_SCALE");
     out << "{\n  \"scale\": \"" << (env == nullptr ? "small" : env)
+        << "\",\n  \"host\": \"" << HostLine()
         << "\",\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
       out << "    {\"name\": \"" << records_[i].first << "\"";

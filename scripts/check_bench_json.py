@@ -9,14 +9,29 @@ Accepts both result formats the repo produces:
 
 Fails (exit 1) when a file is unparsable, has no benchmarks, a record is
 missing its name, a record carries no numeric metrics, or any metric is
-NaN/inf — the ways a half-broken bench silently ships garbage to CI.
+NaN/inf — the ways a half-broken bench silently ships garbage to CI. Files
+listed in REQUIRED must also carry their top-level keys and the named
+records with the named metrics.
 
 Usage: check_bench_json.py FILE [FILE...]
 """
 
 import json
 import math
+import os
 import sys
+
+# Per file name: top-level keys, and metrics each named record must carry.
+REQUIRED = {
+    "BENCH_bufferpool.json": {
+        "top": ["host"],
+        "records": {
+            "loop_prefetch": ["prefetch_issued", "prefetch_hits"],
+            "spill_restore": ["dense_spill_mb_s", "dense_restore_mb_s",
+                              "sparse_spill_mb_s", "sparse_restore_mb_s"],
+        },
+    },
+}
 
 
 def check_record(path: str, rec: dict) -> list[str]:
@@ -57,6 +72,27 @@ def check_file(path: str) -> list[str]:
             errors.append(f"{path}: non-object benchmark record: {rec!r}")
             continue
         errors.extend(check_record(path, rec))
+    errors.extend(check_required(path, doc, benchmarks))
+    return errors
+
+
+def check_required(path: str, doc: dict, benchmarks: list) -> list[str]:
+    required = REQUIRED.get(os.path.basename(path))
+    if required is None:
+        return []
+    errors = [f"{path}: missing top-level '{key}'"
+              for key in required["top"] if key not in doc]
+    by_name = {rec.get("name"): rec for rec in benchmarks
+               if isinstance(rec, dict)}
+    for name, metrics in required["records"].items():
+        rec = by_name.get(name)
+        if rec is None:
+            errors.append(f"{path}: missing record '{name}'")
+            continue
+        for metric in metrics:
+            value = rec.get(metric)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                errors.append(f"{path}: {name} lacks numeric '{metric}'")
     return errors
 
 

@@ -1,8 +1,10 @@
 #include "io/atomic_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <streambuf>
 
 #include "common/crc32.h"
@@ -12,37 +14,159 @@ namespace io {
 
 namespace {
 
-// Streambuf tee: forwards every byte to the underlying file stream while
-// folding it into the running CRC, so large blocks are checksummed in one
-// pass without a second read or an in-memory copy of the payload.
-class ChecksummingBuf : public std::streambuf {
+// Spill and checkpoint I/O moves data in chunks of this size: big enough
+// that the per-chunk CRC call and file write vanish next to the copy, small
+// enough that a restore's transient memory is one block plus one buffer.
+constexpr int64_t kIoBufferBytes = int64_t{1} << 20;
+
+// Put area in front of the payload file. Small writes (a sparse row, a
+// header field) are memcpys; each full buffer is checksummed once and goes
+// to the file in one write. A write of at least a buffer flushes what is
+// pending and then goes to the file straight from the caller's memory.
+class ChecksummingWriteBuf : public std::streambuf {
  public:
-  explicit ChecksummingBuf(std::ofstream* out) : out_(out) {}
+  explicit ChecksummingWriteBuf(std::ofstream* out)
+      : out_(out), buf_(new char[kIoBufferBytes]) {
+    setp(buf_.get(), buf_.get() + kIoBufferBytes);
+  }
 
   uint32_t crc() const { return crc_.Value(); }
   int64_t bytes() const { return bytes_; }
 
+  /// Writes out the pending bytes; false when the file write failed.
+  bool Flush() {
+    if (pptr() > pbase()) {
+      Emit(pbase(), pptr() - pbase());
+      setp(buf_.get(), buf_.get() + kIoBufferBytes);
+    }
+    return out_->good();
+  }
+
  protected:
-  int overflow(int ch) override {
-    if (ch == traits_type::eof()) return ch;
-    char c = static_cast<char>(ch);
-    crc_.Update(&c, 1);
-    ++bytes_;
-    out_->put(c);
-    return out_->good() ? ch : traits_type::eof();
+  int_type overflow(int_type ch) override {
+    if (!Flush()) return traits_type::eof();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      *pptr() = traits_type::to_char_type(ch);
+      pbump(1);
+    }
+    return traits_type::not_eof(ch);
   }
 
   std::streamsize xsputn(const char* s, std::streamsize n) override {
-    crc_.Update(s, static_cast<size_t>(n));
-    bytes_ += n;
-    out_->write(s, n);
+    if (n <= 0) return 0;
+    const std::streamsize space = epptr() - pptr();
+    if (n < space) {
+      std::memcpy(pptr(), s, static_cast<size_t>(n));
+      pbump(static_cast<int>(n));
+      return n;
+    }
+    if (n < kIoBufferBytes) {
+      // Top up the buffer, write it, and start the next one with the rest.
+      std::memcpy(pptr(), s, static_cast<size_t>(space));
+      pbump(static_cast<int>(space));
+      if (!Flush()) return 0;
+      std::memcpy(pptr(), s + space, static_cast<size_t>(n - space));
+      pbump(static_cast<int>(n - space));
+      return n;
+    }
+    if (!Flush()) return 0;
+    Emit(s, n);
     return out_->good() ? n : 0;
   }
 
+  int sync() override { return Flush() ? 0 : -1; }
+
  private:
+  void Emit(const char* s, std::streamsize n) {
+    crc_.Update(s, static_cast<size_t>(n));
+    bytes_ += n;
+    out_->write(s, n);
+  }
+
   std::ofstream* out_;
+  std::unique_ptr<char[]> buf_;
   Crc32 crc_;
   int64_t bytes_ = 0;
+};
+
+// Get area over the payload of a checksummed file. Every byte read from the
+// file is folded into the CRC as it arrives, and the stream reports
+// end-of-file at the payload end, never inside the footer. A read of at
+// least a buffer goes from the file straight into the caller's memory — a
+// dense block is read into its final allocation.
+class VerifyingReadBuf : public std::streambuf {
+ public:
+  VerifyingReadBuf(std::ifstream* in, int64_t payload_size)
+      : in_(in),
+        left_(payload_size),
+        cap_(std::max<int64_t>(1, std::min(payload_size, kIoBufferBytes))),
+        buf_(new char[cap_]) {
+    setg(buf_.get(), buf_.get(), buf_.get());
+  }
+
+  uint32_t crc() const { return crc_.Value(); }
+
+  /// Reads and checksums whatever the parser left unread; false when the
+  /// file ended before the payload size the footer recorded.
+  bool Drain() {
+    setg(buf_.get(), buf_.get(), buf_.get());
+    while (left_ > 0) {
+      if (Fill(buf_.get(), std::min(left_, cap_)) == 0) return false;
+    }
+    return !short_read_;
+  }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    const int64_t got = Fill(buf_.get(), std::min(left_, cap_));
+    if (got == 0) return traits_type::eof();
+    setg(buf_.get(), buf_.get(), buf_.get() + got);
+    return traits_type::to_int_type(*gptr());
+  }
+
+  std::streamsize xsgetn(char* s, std::streamsize n) override {
+    if (n <= 0) return 0;
+    std::streamsize done = std::min<std::streamsize>(n, egptr() - gptr());
+    std::memcpy(s, gptr(), static_cast<size_t>(done));
+    gbump(static_cast<int>(done));
+    while (done < n) {
+      const int64_t want = n - done;
+      if (want >= cap_) {
+        const int64_t got = Fill(s + done, std::min(want, left_));
+        if (got == 0) break;
+        done += got;
+        continue;
+      }
+      if (traits_type::eq_int_type(underflow(), traits_type::eof())) break;
+      const std::streamsize take =
+          std::min<std::streamsize>(want, egptr() - gptr());
+      std::memcpy(s + done, gptr(), static_cast<size_t>(take));
+      gbump(static_cast<int>(take));
+      done += take;
+    }
+    return done;
+  }
+
+ private:
+  // Reads up to `n` payload bytes from the file into `dst` and checksums
+  // them. Returns the count read: 0 at the payload end or a failed read.
+  int64_t Fill(char* dst, int64_t n) {
+    if (n <= 0) return 0;
+    in_->read(dst, static_cast<std::streamsize>(n));
+    const int64_t got = static_cast<int64_t>(in_->gcount());
+    crc_.Update(dst, static_cast<size_t>(got));
+    left_ -= got;
+    if (got < n) short_read_ = true;
+    return got;
+  }
+
+  std::ifstream* in_;
+  int64_t left_;
+  const int64_t cap_;
+  std::unique_ptr<char[]> buf_;
+  Crc32 crc_;
+  bool short_read_ = false;
 };
 
 }  // namespace
@@ -52,24 +176,27 @@ Status WriteAtomic(const std::string& path,
   const std::string tmp = path + ".tmp";
   Status result;
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    // Unbuffered file: ChecksummingWriteBuf already hands it whole buffers.
+    std::ofstream out;
+    out.rdbuf()->pubsetbuf(nullptr, 0);
+    out.open(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return IoError("cannot open '" + tmp + "' for writing");
-    ChecksummingBuf buf(&out);
+    ChecksummingWriteBuf buf(&out);
     std::ostream payload_stream(&buf);
     result = write_payload(payload_stream);
-    payload_stream.flush();
-    if (result.ok() && !out) {
+    if (result.ok() && (!buf.Flush() || !payload_stream)) {
       result = IoError("write failed for '" + tmp + "'");
     }
     if (result.ok()) {
-      // Footer bypasses the checksumming buf: it covers the payload only.
-      uint64_t magic = kChecksumFooterMagic;
-      int64_t size = buf.bytes();
-      uint32_t crc = buf.crc(), pad = 0;
-      out.write(reinterpret_cast<const char*>(&magic), 8);
-      out.write(reinterpret_cast<const char*>(&size), 8);
-      out.write(reinterpret_cast<const char*>(&crc), 4);
-      out.write(reinterpret_cast<const char*>(&pad), 4);
+      // The footer bypasses the checksumming buffer: it covers the payload.
+      char footer[kChecksumFooterSize] = {};
+      const uint64_t magic = kChecksumFooterMagic;
+      const int64_t size = buf.bytes();
+      const uint32_t crc = buf.crc();
+      std::memcpy(footer, &magic, 8);
+      std::memcpy(footer + 8, &size, 8);
+      std::memcpy(footer + 16, &crc, 4);
+      out.write(footer, kChecksumFooterSize);
       out.flush();
       if (!out) result = IoError("footer write failed for '" + tmp + "'");
     }
@@ -81,16 +208,21 @@ Status WriteAtomic(const std::string& path,
   return result;
 }
 
-StatusOr<std::string> ReadVerified(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+Status ReadVerified(const std::string& path, const PayloadParser& parse) {
+  // Unbuffered file: VerifyingReadBuf reads it in whole buffers.
+  std::ifstream in;
+  in.rdbuf()->pubsetbuf(nullptr, 0);
+  in.open(path, std::ios::binary);
   if (!in) return IoError("cannot open '" + path + "' for reading");
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  if (static_cast<int64_t>(contents.size()) < kChecksumFooterSize) {
+  in.seekg(0, std::ios::end);
+  const int64_t file_size = static_cast<int64_t>(in.tellg());
+  if (file_size < kChecksumFooterSize) {
     return CorruptError("'" + path + "': too short for a checksum footer");
   }
-  const char* footer =
-      contents.data() + contents.size() - static_cast<size_t>(kChecksumFooterSize);
+  char footer[kChecksumFooterSize];
+  in.seekg(file_size - kChecksumFooterSize);
+  in.read(footer, kChecksumFooterSize);
+  if (!in) return IoError("cannot read the footer of '" + path + "'");
   uint64_t magic = 0;
   int64_t size = 0;
   uint32_t crc = 0;
@@ -100,19 +232,23 @@ StatusOr<std::string> ReadVerified(const std::string& path) {
   if (magic != kChecksumFooterMagic) {
     return CorruptError("'" + path + "': missing checksum footer (truncated?)");
   }
-  int64_t payload_size =
-      static_cast<int64_t>(contents.size()) - kChecksumFooterSize;
+  const int64_t payload_size = file_size - kChecksumFooterSize;
   if (size != payload_size) {
     return CorruptError("'" + path + "': payload size mismatch (recorded " +
                         std::to_string(size) + ", actual " +
                         std::to_string(payload_size) + ")");
   }
-  uint32_t actual = Crc32::Of(contents.data(), static_cast<size_t>(payload_size));
-  if (actual != crc) {
+  in.seekg(0);
+  VerifyingReadBuf buf(&in, payload_size);
+  std::istream payload(&buf);
+  Status parsed = parse(payload, payload_size);
+  if (!buf.Drain()) {
+    return CorruptError("'" + path + "': file ended inside the payload");
+  }
+  if (buf.crc() != crc) {
     return CorruptError("'" + path + "': CRC32 mismatch (file is corrupt)");
   }
-  contents.resize(static_cast<size_t>(payload_size));
-  return contents;
+  return parsed;
 }
 
 }  // namespace io

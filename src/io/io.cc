@@ -9,6 +9,7 @@
 
 #include "common/thread_pool.h"
 #include "common/util.h"
+#include "io/atomic_file.h"
 
 namespace sysds {
 namespace io {
@@ -394,9 +395,11 @@ class BinaryFormatReader : public Reader {
                                    const FormatDescriptor& desc)
       const override {
     (void)desc;
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) return IoError("cannot open '" + path + "' for reading");
-    auto m = ReadMatrixBinaryStream(in);
+    const int64_t size = static_cast<int64_t>(in.tellg());
+    in.seekg(0);
+    auto m = ReadMatrixBinaryStream(in, size);
     if (!m.ok()) {
       return Status(m.status().code(), m.status().message() + " ('" + path + "')");
     }
@@ -558,44 +561,60 @@ Status WriteMatrixBinaryStream(const MatrixBlock& m, std::ostream& out) {
   return Status::Ok();
 }
 
-StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& in) {
+StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& stream,
+                                             int64_t size) {
+  PayloadReader in(stream, size);
   uint64_t magic = 0;
   int64_t rows = 0, cols = 0, nnz = 0;
   uint8_t sparse = 0;
-  in.read(reinterpret_cast<char*>(&magic), 8);
-  if (!in || magic != kBinaryMagic) {
+  if (!in.ReadPod(&magic) || magic != kBinaryMagic) {
     return CorruptError("not a SystemDS binary matrix");
   }
-  in.read(reinterpret_cast<char*>(&rows), 8);
-  in.read(reinterpret_cast<char*>(&cols), 8);
-  in.read(reinterpret_cast<char*>(&nnz), 8);
-  in.read(reinterpret_cast<char*>(&sparse), 1);
-  if (!in || rows < 0 || cols < 0) {
+  if (!in.ReadPod(&rows) || !in.ReadPod(&cols) || !in.ReadPod(&nnz) ||
+      !in.ReadPod(&sparse) || rows < 0 || cols < 0) {
     return CorruptError("malformed binary matrix header");
   }
-  MatrixBlock m(rows, cols, sparse != 0);
+  // The header must agree with the bytes that follow it before anything is
+  // allocated: a dense payload is exactly rows*cols doubles, a sparse one
+  // holds at least one length word per row.
   if (!sparse) {
-    in.read(reinterpret_cast<char*>(m.DenseData()),
-            static_cast<std::streamsize>(rows * cols * 8));
-  } else {
-    for (int64_t r = 0; r < rows; ++r) {
-      int64_t n = 0;
-      in.read(reinterpret_cast<char*>(&n), 8);
-      if (!in || n < 0 || n > cols) {
-        return CorruptError("malformed sparse row in binary matrix");
+    const bool fits = cols == 0 ? in.remaining() == 0
+                                : rows <= in.remaining() / 8 / cols &&
+                                      rows * cols * 8 == in.remaining();
+    if (!fits) {
+      return CorruptError("binary matrix header (" + std::to_string(rows) +
+                          "x" + std::to_string(cols) +
+                          " dense) disagrees with the payload size");
+    }
+    MatrixBlock m(rows, cols, false);
+    if (!in.Read(m.DenseData(), rows * cols * 8)) {
+      return CorruptError("truncated binary matrix");
+    }
+    m.SetNonZeros(nnz);
+    return m;
+  }
+  if (!in.Fits(rows, 8)) {
+    return CorruptError("binary matrix header (" + std::to_string(rows) +
+                        " sparse rows) disagrees with the payload size");
+  }
+  MatrixBlock m(rows, cols, true);
+  for (int64_t r = 0; r < rows; ++r) {
+    int64_t n = 0;
+    if (!in.ReadPod(&n) || n < 0 || n > cols || !in.Fits(n, 16)) {
+      return CorruptError("malformed sparse row in binary matrix");
+    }
+    SparseRow& row = m.SparseData().Row(r);
+    row.Resize(n);
+    int64_t* idx = row.MutableIndexes();
+    if (!in.Read(idx, n * 8) || !in.Read(row.MutableValues(), n * 8)) {
+      return CorruptError("truncated binary matrix");
+    }
+    for (int64_t p = 0; p < n; ++p) {
+      if (idx[p] < 0 || idx[p] >= cols) {
+        return CorruptError("out-of-range column in binary sparse row");
       }
-      SparseRow& row = m.SparseData().Row(r);
-      row.Reserve(n);
-      std::vector<int64_t> idx(static_cast<size_t>(n));
-      std::vector<double> val(static_cast<size_t>(n));
-      in.read(reinterpret_cast<char*>(idx.data()),
-              static_cast<std::streamsize>(n * 8));
-      in.read(reinterpret_cast<char*>(val.data()),
-              static_cast<std::streamsize>(n * 8));
-      for (int64_t p = 0; p < n; ++p) row.Append(idx[p], val[p]);
     }
   }
-  if (!in) return IoError("truncated binary matrix");
   m.SetNonZeros(nnz);
   return m;
 }
@@ -635,35 +654,36 @@ Status WriteFrameBinaryStream(const FrameBlock& f, std::ostream& out) {
   return Status::Ok();
 }
 
-StatusOr<FrameBlock> ReadFrameBinaryStream(std::istream& in) {
+StatusOr<FrameBlock> ReadFrameBinaryStream(std::istream& stream,
+                                            int64_t size) {
+  PayloadReader in(stream, size);
   uint64_t magic = 0;
   int64_t rows = 0, cols = 0;
-  in.read(reinterpret_cast<char*>(&magic), 8);
-  if (!in || magic != kBinaryFrameMagic) {
+  if (!in.ReadPod(&magic) || magic != kBinaryFrameMagic) {
     return CorruptError("not a SystemDS binary frame");
   }
-  in.read(reinterpret_cast<char*>(&rows), 8);
-  in.read(reinterpret_cast<char*>(&cols), 8);
-  if (!in || rows < 0 || cols < 0) {
+  if (!in.ReadPod(&rows) || !in.ReadPod(&cols) || rows < 0 ||
+      !in.Fits(cols, 1)) {
     return CorruptError("malformed binary frame header");
   }
   auto read_string = [&in](std::string* s) -> bool {
     int64_t n = 0;
-    in.read(reinterpret_cast<char*>(&n), 8);
-    if (!in || n < 0) return false;
+    if (!in.ReadPod(&n) || !in.Fits(n, 1)) return false;
     s->resize(static_cast<size_t>(n));
-    in.read(s->data(), static_cast<std::streamsize>(n));
-    return static_cast<bool>(in);
+    return in.Read(s->data(), n);
   };
   std::vector<ValueType> schema(static_cast<size_t>(cols));
   for (int64_t c = 0; c < cols; ++c) {
     uint8_t type = 0;
-    in.read(reinterpret_cast<char*>(&type), 1);
+    if (!in.ReadPod(&type)) {
+      return CorruptError("malformed binary frame header");
+    }
     schema[static_cast<size_t>(c)] = static_cast<ValueType>(type);
   }
   uint8_t has_names = 0;
-  in.read(reinterpret_cast<char*>(&has_names), 1);
-  if (!in) return CorruptError("malformed binary frame header");
+  if (!in.ReadPod(&has_names)) {
+    return CorruptError("malformed binary frame header");
+  }
   std::vector<std::string> names;
   if (has_names) {
     names.resize(static_cast<size_t>(cols));
@@ -673,27 +693,29 @@ StatusOr<FrameBlock> ReadFrameBinaryStream(std::istream& in) {
       }
     }
   }
+  // Every cell takes at least 8 payload bytes (a double or a length word).
+  if (cols > 0 && !in.Fits(rows, 8 * cols)) {
+    return CorruptError("binary frame header disagrees with the payload size");
+  }
   FrameBlock f = has_names ? FrameBlock(rows, schema, names)
                            : FrameBlock(rows, schema);
   for (int64_t c = 0; c < cols; ++c) {
     if (schema[static_cast<size_t>(c)] == ValueType::kString) {
       std::string cell;
       for (int64_t r = 0; r < rows; ++r) {
-        if (!read_string(&cell)) {
-          return IoError("truncated binary frame");
-        }
+        if (!read_string(&cell)) return CorruptError("truncated binary frame");
         f.SetString(r, c, cell);
       }
     } else {
       std::vector<double> col(static_cast<size_t>(rows));
-      in.read(reinterpret_cast<char*>(col.data()),
-              static_cast<std::streamsize>(rows * 8));
+      if (!in.Read(col.data(), rows * 8)) {
+        return CorruptError("truncated binary frame");
+      }
       for (int64_t r = 0; r < rows; ++r) {
         f.SetDouble(r, c, col[static_cast<size_t>(r)]);
       }
     }
   }
-  if (!in) return IoError("truncated binary frame");
   return f;
 }
 

@@ -95,15 +95,19 @@ Status Write(const FrameBlock& f, const std::string& path,
 /// Writes `m` in SystemDS binary block layout (magic + header + payload).
 Status WriteMatrixBinaryStream(const MatrixBlock& m, std::ostream& out);
 
-/// Reads a matrix written by WriteMatrixBinaryStream. Fails with kCorrupt
-/// on a bad magic and kIoError on truncation.
-StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& in);
+/// Reads a matrix written by WriteMatrixBinaryStream from the next `size`
+/// bytes of `in`. Fails with kCorrupt on a bad magic, on a header that
+/// disagrees with `size` (checked before anything is allocated), and on
+/// truncation. Dense payloads are read straight into the block and sparse
+/// rows straight into their row vectors.
+StatusOr<MatrixBlock> ReadMatrixBinaryStream(std::istream& in, int64_t size);
 
 /// Writes `f` (schema, column names, cells) in a binary frame layout.
 Status WriteFrameBinaryStream(const FrameBlock& f, std::ostream& out);
 
-/// Reads a frame written by WriteFrameBinaryStream.
-StatusOr<FrameBlock> ReadFrameBinaryStream(std::istream& in);
+/// Reads a frame written by WriteFrameBinaryStream from the next `size`
+/// bytes of `in`; kCorrupt when a length field exceeds what is left.
+StatusOr<FrameBlock> ReadFrameBinaryStream(std::istream& in, int64_t size);
 
 }  // namespace io
 }  // namespace sysds

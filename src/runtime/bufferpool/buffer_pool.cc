@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <unordered_set>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -27,6 +28,7 @@ struct PoolMetrics {
   obs::Counter* writeback_bytes;
   obs::Counter* writeback_failures;
   obs::Counter* prefetch_issued;
+  obs::Counter* prefetch_declined;
   obs::Counter* spill_retries;
   obs::Counter* spill_repins;
   obs::Histogram* evict_stall_ns;
@@ -47,6 +49,7 @@ PoolMetrics& Metrics() {
       r.GetCounter("bufferpool.writeback_bytes"),
       r.GetCounter("fault.bufferpool.writeback_failures"),
       r.GetCounter("bufferpool.prefetch_issued"),
+      r.GetCounter("bufferpool.prefetch_declined"),
       r.GetCounter("fault.bufferpool.spill_retries"),
       r.GetCounter("fault.bufferpool.spill_repins"),
       r.GetHistogram("bufferpool.evict_stall_ns"),
@@ -156,6 +159,7 @@ void BufferPool::Touch(MatrixObject* obj) {
   if (it == entries_.end()) return;
   Entry& e = it->second;
   ++e.touches;
+  e.prefetched = false;  // the demand read the prefetch was for
   if (!e.resident) return;  // ghost touch: remembered for re-admission
   int target = e.queue;
   if (options_.policy == EvictionPolicy::k2Q && e.queue == 0 &&
@@ -262,6 +266,20 @@ void BufferPool::Prefetch(MatrixObject* obj) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_ || resident) return;
   auto it = entries_.find(obj);
+  if (it != entries_.end()) {
+    const Entry& known = it->second;
+    if (known.resident || known.restoring || known.inflight > 0 ||
+        known.queued_writeback) {
+      return;
+    }
+  }
+  // Admit only what the headroom covers: a restore that does not fit would
+  // only evict other blocks, or itself, before the demand read comes.
+  const int64_t need = it == entries_.end() ? size : it->second.size;
+  if (limit_bytes_ - pinned_bytes_ - inflight_restore_bytes_ < need) {
+    Metrics().prefetch_declined->Add(1);
+    return;
+  }
   if (it == entries_.end()) {
     // Evicted objects are not tracked; re-admit a ghost entry so the
     // restore's headroom claim and single-flight state have a home.
@@ -269,9 +287,6 @@ void BufferPool::Prefetch(MatrixObject* obj) {
     it->second.size = size;
   }
   Entry& e = it->second;
-  if (e.resident || e.restoring || e.inflight > 0 || e.queued_writeback) {
-    return;
-  }
   e.restoring = true;
   inflight_restore_bytes_ += e.size;
   task_queue_.push_back({TaskKind::kPrefetch, obj});
@@ -366,12 +381,30 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
   // Victims that cannot make progress this pass: pinned, mid-writeback,
   // scheduled for write-behind, or re-pinned after a failed spill.
   std::unordered_set<MatrixObject*> skip;
+  // Prefetched blocks still waiting for their demand read are victims of
+  // last resort: spared until nothing else can go and memory is above the
+  // hard limit.
+  std::vector<MatrixObject*> spared;
+  bool spare_prefetched = true;
   bool did_sync_spill = false;
   while (cached_bytes_ > limit_bytes_) {
     MatrixObject* victim = PickVictimLocked(
         skip, options_.write_behind && cached_bytes_ <= hard_limit);
-    if (victim == nullptr) break;
+    if (victim == nullptr) {
+      if (!spare_prefetched || spared.empty() || cached_bytes_ <= hard_limit) {
+        break;
+      }
+      spare_prefetched = false;
+      for (MatrixObject* o : spared) skip.erase(o);
+      continue;
+    }
+    if (!spare_prefetched && cached_bytes_ <= hard_limit) break;
     Entry& e = entries_[victim];
+    if (e.prefetched && spare_prefetched) {
+      skip.insert(victim);
+      spared.push_back(victim);
+      continue;
+    }
     if (victim->PinCount() > 0 || !victim->HasPayload() || e.inflight > 0) {
       skip.insert(victim);
       continue;
@@ -527,6 +560,9 @@ void BufferPool::RunPrefetch(MatrixObject* obj,
     // error) or a demand restore re-registered the object concurrently.
     return;
   }
+  // A demand acquire that waited on this restore may have pinned the
+  // entry at its pre-restore size estimate.
+  if (e.pinned) pinned_bytes_ += size - e.size;
   e.size = size;
   int target = 1;
   if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) target = 0;
@@ -534,6 +570,8 @@ void BufferPool::RunPrefetch(MatrixObject* obj,
   queues_[target].push_back(obj);
   e.pos = std::prev(queues_[target].end());
   e.resident = true;
+  // Unless a demand acquire already consumed the prefetch.
+  e.prefetched = obj->PrefetchPending();
   cached_bytes_ += size;
   queue_bytes_[target] += size;
 }

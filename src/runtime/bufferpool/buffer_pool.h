@@ -124,8 +124,10 @@ class BufferPool {
   void NotePinned(MatrixObject* obj, bool pinned);
 
   /// Hint-driven prefetch: schedules an asynchronous restore when `obj` is
-  /// spilled and no restore is in flight. No-op for resident objects, when
-  /// prefetching is disabled, or while the pool is shutting down.
+  /// spilled, no restore is in flight, and Headroom() covers its size. No-op
+  /// for resident objects, when prefetching is disabled, or while the pool
+  /// is shutting down. The restored block is not evicted (below the hard
+  /// limit) until it has been read.
   void Prefetch(MatrixObject* obj);
 
   /// Real admission headroom: limit - pinned - inflight-restore bytes.
@@ -180,6 +182,11 @@ class BufferPool {
     int inflight = 0;
     // Restore scheduled or running for this object (prefetch headroom).
     bool restoring = false;
+    // Made resident by a prefetch and not read since: a victim of last
+    // resort (only above the hard limit, after every other candidate), so
+    // the background pass cannot drop it before the demand read it was
+    // restored for.
+    bool prefetched = false;
   };
 
   // All *Locked methods require mutex_ held. `caller_blocking` is true when

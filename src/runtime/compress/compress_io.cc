@@ -6,6 +6,8 @@
 #include <ostream>
 #include <vector>
 
+#include "io/atomic_file.h"
+
 namespace sysds {
 
 namespace {
@@ -29,21 +31,11 @@ void WriteVec(std::ostream& out, const std::vector<T>& v) {
 }
 
 template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v) {
+bool ReadVec(io::PayloadReader& in, std::vector<T>* v) {
   int64_t n = 0;
-  if (!ReadPod(in, &n) || n < 0) return false;
+  if (!in.ReadPod(&n) || !in.Fits(n, sizeof(T))) return false;
   v->resize(static_cast<size_t>(n));
-  if (n > 0) {
-    in.read(reinterpret_cast<char*>(v->data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
-  }
-  return static_cast<bool>(in);
+  return in.Read(v->data(), n * static_cast<int64_t>(sizeof(T)));
 }
 
 }  // namespace
@@ -73,20 +65,26 @@ Status WriteCompressedStream(const CompressedMatrixBlock& c,
   return Status::Ok();
 }
 
-StatusOr<CompressedMatrixBlock> ReadCompressedStream(std::istream& in) {
+StatusOr<CompressedMatrixBlock> ReadCompressedStream(std::istream& stream,
+                                                     int64_t size) {
+  io::PayloadReader in(stream, size);
   uint64_t magic = 0;
   int64_t rows = 0, cols = 0, nnz = 0, ngroups = 0;
-  if (!ReadPod(in, &magic) || magic != kCompressedMagic) {
+  if (!in.ReadPod(&magic) || magic != kCompressedMagic) {
     return CorruptError("not a SystemDS compressed matrix");
   }
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols) || !ReadPod(in, &nnz) ||
-      !ReadPod(in, &ngroups) || ngroups < 0) {
+  // A group takes at least its encoding byte, default code and 10 lengths.
+  constexpr int64_t kMinGroupBytes = 1 + sizeof(ColGroup::sdc_default) + 10 * 8;
+  if (!in.ReadPod(&rows) || !in.ReadPod(&cols) || !in.ReadPod(&nnz) ||
+      !in.ReadPod(&ngroups) || rows < 0 || cols < 0 ||
+      !in.Fits(ngroups, kMinGroupBytes)) {
     return CorruptError("truncated compressed matrix header");
   }
   std::vector<ColGroup> groups(static_cast<size_t>(ngroups));
+  int64_t group_cols = 0;
   for (ColGroup& g : groups) {
     uint8_t enc = 0;
-    bool ok = ReadPod(in, &enc) && ReadPod(in, &g.sdc_default) &&
+    bool ok = in.ReadPod(&enc) && in.ReadPod(&g.sdc_default) &&
               ReadVec(in, &g.cols) && ReadVec(in, &g.dict) &&
               ReadVec(in, &g.codes8) && ReadVec(in, &g.codes16) &&
               ReadVec(in, &g.run_starts) && ReadVec(in, &g.run_codes) &&
@@ -95,7 +93,18 @@ StatusOr<CompressedMatrixBlock> ReadCompressedStream(std::istream& in) {
     if (!ok || enc > static_cast<uint8_t>(ColEncoding::kSDC)) {
       return CorruptError("truncated compressed matrix group");
     }
+    for (int64_t c : g.cols) {
+      if (c < 0 || c >= cols) {
+        return CorruptError("compressed matrix group column out of range");
+      }
+    }
+    group_cols += static_cast<int64_t>(g.cols.size());
     g.encoding = static_cast<ColEncoding>(enc);
+  }
+  // Every column belongs to a group; this also bounds the column index
+  // FromParts allocates by the payload size.
+  if (group_cols < cols) {
+    return CorruptError("compressed matrix groups do not cover its columns");
   }
   return CompressedMatrixBlock::FromParts(rows, cols, nnz, std::move(groups));
 }
@@ -114,9 +123,11 @@ Status WriteCompressedBinary(const CompressedMatrixBlock& c,
 }
 
 StatusOr<CompressedMatrixBlock> ReadCompressedBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return IoError("cannot open '" + path + "' for reading");
-  auto c = ReadCompressedStream(in);
+  const int64_t size = static_cast<int64_t>(in.tellg());
+  in.seekg(0);
+  auto c = ReadCompressedStream(in, size);
   if (!c.ok()) {
     return Status(c.status().code(),
                   c.status().message() + " ('" + path + "')");

@@ -1,6 +1,7 @@
 #ifndef SYSDS_RUNTIME_COMPRESS_COMPRESS_IO_H_
 #define SYSDS_RUNTIME_COMPRESS_COMPRESS_IO_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -23,7 +24,10 @@ StatusOr<CompressedMatrixBlock> ReadCompressedBinary(const std::string& path);
 /// checksummed containers (checkpoint files, atomic spill writes).
 Status WriteCompressedStream(const CompressedMatrixBlock& c, std::ostream& out);
 
-StatusOr<CompressedMatrixBlock> ReadCompressedStream(std::istream& in);
+/// Reads the next `size` bytes of `in`; kCorrupt when a length field
+/// exceeds what is left or a group names a column outside the block.
+StatusOr<CompressedMatrixBlock> ReadCompressedStream(std::istream& in,
+                                                     int64_t size);
 
 }  // namespace sysds
 

@@ -210,7 +210,9 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
         PoolMisses()->Add(1);
         return s;
       }
-      restored = true;
+      // A prefetch that finished while this acquire waited for it served
+      // the read (the prefetcher registers the block).
+      restored = !prefetched_;
     }
     if (block_ == nullptr && compressed_ != nullptr) {
       // Materialize an uncompressed view for kernels without a compressed
@@ -276,7 +278,7 @@ StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
         PoolMisses()->Add(1);
         return s.ok() ? Internal("compressed restore produced no block") : s;
       }
-      restored = true;
+      restored = !prefetched_;
     }
     prefetch_hit = !restored && prefetched_;
     prefetched_ = false;
@@ -434,31 +436,29 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
       last = IoError("bufferpool: injected evict-read error (" + path + ")");
       continue;
     }
-    // Checksum verification first (crash-safe spill files): a torn or
-    // bit-flipped spill surfaces as kCorrupt — retryable, and the spill
-    // file is kept so a later acquire can retry — never as garbage
-    // deserialized into a block.
-    auto payload = io::ReadVerified(path);
-    if (!payload.ok()) {
-      last = payload.status();
+    // The spill file streams straight into the new block; the block is
+    // kept only when the file's size and CRC verify. A torn or bit-flipped
+    // spill surfaces as kCorrupt — retryable, and the spill file is kept so
+    // a later acquire can retry — never as garbage in a block.
+    Status read = io::ReadVerified(
+        path, [&](std::istream& in, int64_t size) -> Status {
+          if (compressed_format) {
+            SYSDS_ASSIGN_OR_RETURN(CompressedMatrixBlock c,
+                                   ReadCompressedStream(in, size));
+            new_compressed =
+                std::make_shared<const CompressedMatrixBlock>(std::move(c));
+          } else {
+            SYSDS_ASSIGN_OR_RETURN(MatrixBlock m,
+                                   io::ReadMatrixBinaryStream(in, size));
+            new_block = std::make_shared<MatrixBlock>(std::move(m));
+          }
+          return Status::Ok();
+        });
+    if (!read.ok()) {
+      new_block.reset();
+      new_compressed.reset();
+      last = read;
       continue;
-    }
-    std::istringstream in(std::move(payload).value());
-    if (compressed_format) {
-      auto restored = ReadCompressedStream(in);
-      if (!restored.ok()) {
-        last = restored.status();
-        continue;
-      }
-      new_compressed = std::make_shared<const CompressedMatrixBlock>(
-          std::move(restored).value());
-    } else {
-      auto restored = io::ReadMatrixBinaryStream(in);
-      if (!restored.ok()) {
-        last = restored.status();
-        continue;
-      }
-      new_block = std::make_shared<MatrixBlock>(std::move(restored).value());
     }
     break;
   }

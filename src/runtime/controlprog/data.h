@@ -125,6 +125,12 @@ class MatrixObject final : public Data {
     std::lock_guard<std::mutex> lock(mutex_);
     return pin_count_;
   }
+  /// True while a payload restored by a prefetch waits for its first
+  /// acquire.
+  bool PrefetchPending() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return prefetched_;
+  }
 
   /// Buffer-pool hook: spills the block to `path` and drops it. When the
   /// object is clean (its spill file already holds the payload — blocks

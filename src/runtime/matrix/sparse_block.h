@@ -42,6 +42,14 @@ class SparseRow {
     values_.reserve(n);
   }
 
+  /// Sets the row to `n` entries for bulk fill through MutableIndexes()
+  /// and MutableValues() (readers deserialize a whole row in place). New
+  /// entries are zero; the caller writes sorted column indexes.
+  void Resize(int64_t n) {
+    indexes_.resize(static_cast<size_t>(n));
+    values_.resize(static_cast<size_t>(n));
+  }
+
   /// Sorts entries by column index (for kernels that append out of order).
   void SortByIndex();
 

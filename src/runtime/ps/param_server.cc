@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
@@ -155,29 +154,29 @@ struct PsCheckpoint {
 };
 
 StatusOr<PsCheckpoint> ReadPsCheckpoint(const std::string& dir) {
-  auto payload = io::ReadVerified(PsCheckpointPath(dir));
-  if (!payload.ok()) return payload.status();
-  const std::string& buf = payload.value();
-  uint64_t magic = 0;
-  int64_t round = 0, m = 0;
-  size_t header = sizeof(magic) + sizeof(round) + sizeof(m);
-  if (buf.size() < header) {
-    return CorruptError("ps checkpoint: truncated header");
-  }
-  std::memcpy(&magic, buf.data(), sizeof(magic));
-  std::memcpy(&round, buf.data() + sizeof(magic), sizeof(round));
-  std::memcpy(&m, buf.data() + sizeof(magic) + sizeof(round), sizeof(m));
-  if (magic != kPsCheckpointMagic) {
-    return CorruptError("ps checkpoint: bad magic");
-  }
-  if (m < 0 || buf.size() != header + static_cast<size_t>(m) * sizeof(double)) {
-    return CorruptError("ps checkpoint: payload size mismatch");
-  }
   PsCheckpoint ckpt;
-  ckpt.round = round;
-  ckpt.weights.resize(static_cast<size_t>(m));
-  std::memcpy(ckpt.weights.data(), buf.data() + header,
-              static_cast<size_t>(m) * sizeof(double));
+  Status read = io::ReadVerified(
+      PsCheckpointPath(dir), [&ckpt](std::istream& in, int64_t size) {
+        io::PayloadReader reader(in, size);
+        uint64_t magic = 0;
+        int64_t m = 0;
+        if (!reader.ReadPod(&magic) || !reader.ReadPod(&ckpt.round) ||
+            !reader.ReadPod(&m)) {
+          return CorruptError("ps checkpoint: truncated header");
+        }
+        if (magic != kPsCheckpointMagic) {
+          return CorruptError("ps checkpoint: bad magic");
+        }
+        if (!reader.Fits(m, sizeof(double)) ||
+            reader.remaining() != m * static_cast<int64_t>(sizeof(double))) {
+          return CorruptError("ps checkpoint: payload size mismatch");
+        }
+        ckpt.weights.resize(static_cast<size_t>(m));
+        return reader.Read(ckpt.weights.data(), reader.remaining())
+                   ? Status::Ok()
+                   : CorruptError("ps checkpoint: truncated weights");
+      });
+  if (!read.ok()) return read;
   return ckpt;
 }
 

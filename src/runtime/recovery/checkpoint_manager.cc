@@ -77,36 +77,34 @@ Status WriteScalarPayload(const ScalarObject& s, std::ostream& out) {
   return Status::Ok();
 }
 
-StatusOr<DataPtr> ReadScalarPayload(std::istream& in) {
+StatusOr<DataPtr> ReadScalarPayload(io::PayloadReader& in) {
   uint8_t vt = 0;
-  in.read(reinterpret_cast<char*>(&vt), 1);
-  if (!in) return CorruptError("truncated scalar checkpoint");
+  if (!in.ReadPod(&vt)) return CorruptError("truncated scalar checkpoint");
   switch (static_cast<ValueType>(vt)) {
     case ValueType::kInt64: {
       int64_t v = 0;
-      in.read(reinterpret_cast<char*>(&v), 8);
-      if (!in) return CorruptError("truncated scalar checkpoint");
+      if (!in.ReadPod(&v)) return CorruptError("truncated scalar checkpoint");
       return ScalarObject::MakeInt(v);
     }
     case ValueType::kBoolean: {
       uint8_t v = 0;
-      in.read(reinterpret_cast<char*>(&v), 1);
-      if (!in) return CorruptError("truncated scalar checkpoint");
+      if (!in.ReadPod(&v)) return CorruptError("truncated scalar checkpoint");
       return ScalarObject::MakeBool(v != 0);
     }
     case ValueType::kString: {
       int64_t n = 0;
-      in.read(reinterpret_cast<char*>(&n), 8);
-      if (!in || n < 0) return CorruptError("truncated scalar checkpoint");
+      if (!in.ReadPod(&n) || !in.Fits(n, 1)) {
+        return CorruptError("truncated scalar checkpoint");
+      }
       std::string v(static_cast<size_t>(n), '\0');
-      in.read(v.data(), static_cast<std::streamsize>(n));
-      if (!in) return CorruptError("truncated scalar checkpoint");
+      if (!in.Read(v.data(), n)) {
+        return CorruptError("truncated scalar checkpoint");
+      }
       return ScalarObject::MakeString(std::move(v));
     }
     default: {
       double v = 0.0;
-      in.read(reinterpret_cast<char*>(&v), 8);
-      if (!in) return CorruptError("truncated scalar checkpoint");
+      if (!in.ReadPod(&v)) return CorruptError("truncated scalar checkpoint");
       return ScalarObject::MakeDouble(v);
     }
   }
@@ -144,25 +142,32 @@ Status WriteVarPayload(Data* d, std::ostream& out) {
   }
 }
 
-StatusOr<DataPtr> ReadVarPayload(std::istream& in) {
+// Parses a variable file's payload of `size` bytes: a tag byte, then the
+// value in its own codec.
+StatusOr<DataPtr> ReadVarPayload(std::istream& in, int64_t size) {
+  io::PayloadReader reader(in, size);
   uint8_t tag = 0;
-  in.read(reinterpret_cast<char*>(&tag), 1);
-  if (!in) return CorruptError("truncated checkpoint payload");
+  if (!reader.ReadPod(&tag)) {
+    return CorruptError("truncated checkpoint payload");
+  }
+  const int64_t rest = reader.remaining();
   switch (tag) {
     case kTagScalar:
-      return ReadScalarPayload(in);
+      return ReadScalarPayload(reader);
     case kTagMatrix: {
-      SYSDS_ASSIGN_OR_RETURN(MatrixBlock m, io::ReadMatrixBinaryStream(in));
+      SYSDS_ASSIGN_OR_RETURN(MatrixBlock m,
+                             io::ReadMatrixBinaryStream(in, rest));
       return std::static_pointer_cast<Data>(
           std::make_shared<MatrixObject>(std::move(m)));
     }
     case kTagCompressed: {
-      SYSDS_ASSIGN_OR_RETURN(CompressedMatrixBlock c, ReadCompressedStream(in));
+      SYSDS_ASSIGN_OR_RETURN(CompressedMatrixBlock c,
+                             ReadCompressedStream(in, rest));
       return std::static_pointer_cast<Data>(
           std::make_shared<MatrixObject>(std::move(c)));
     }
     case kTagFrame: {
-      SYSDS_ASSIGN_OR_RETURN(FrameBlock f, io::ReadFrameBinaryStream(in));
+      SYSDS_ASSIGN_OR_RETURN(FrameBlock f, io::ReadFrameBinaryStream(in, rest));
       return std::static_pointer_cast<Data>(
           std::make_shared<FrameObject>(std::move(f)));
     }
@@ -313,8 +318,15 @@ Status CheckpointManager::PrepareResume() {
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("manifest_loop", 0) != 0) continue;
-    SYSDS_ASSIGN_OR_RETURN(std::string text,
-                           io::ReadVerified(entry.path().string()));
+    // The manifest text is parsed only once its CRC has verified.
+    std::string text;
+    SYSDS_RETURN_IF_ERROR(io::ReadVerified(
+        entry.path().string(), [&text](std::istream& in, int64_t size) {
+          text.resize(static_cast<size_t>(size));
+          return in.read(text.data(), static_cast<std::streamsize>(size))
+                     ? Status::Ok()
+                     : CorruptError("truncated checkpoint manifest");
+        }));
     SYSDS_ASSIGN_OR_RETURN(Manifest m, ParseManifest(text));
     if (m.program_hash != program_hash_) {
       return ValidateError(
@@ -386,16 +398,18 @@ StatusOr<int64_t> CheckpointManager::TryResume(int loop_id,
   }
 
   for (const ManifestVar& v : m.vars) {
-    SYSDS_ASSIGN_OR_RETURN(std::string payload,
-                           io::ReadVerified(options_.dir + "/" + v.file));
-    std::istringstream in(payload, std::ios::binary);
-    auto restored = ReadVarPayload(in);
-    if (!restored.ok()) {
-      return Status(restored.status().code(),
-                    "checkpoint resume: variable '" + v.name + "': " +
-                        restored.status().message());
+    DataPtr restored;
+    Status read = io::ReadVerified(
+        options_.dir + "/" + v.file,
+        [&restored](std::istream& in, int64_t size) -> Status {
+          SYSDS_ASSIGN_OR_RETURN(restored, ReadVarPayload(in, size));
+          return Status::Ok();
+        });
+    if (!read.ok()) {
+      return Status(read.code(), "checkpoint resume: variable '" + v.name +
+                                     "': " + read.message());
     }
-    ec->SetVar(v.name, std::move(restored).value());
+    ec->SetVar(v.name, std::move(restored));
     if (ec->TracingEnabled()) {
       // Restored state re-enters the trace as a leaf carrying the original
       // lineage key, so downstream tracing (and loop dedup) stays stable.

@@ -423,8 +423,10 @@ TEST_F(BufferPoolAsyncTest, ResultsBitIdenticalAcrossPoolConfigurations) {
 
 TEST_F(BufferPoolAsyncTest, LoopPrefetchEngagesOnOverLimitWorkload) {
   int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
+  // The pool holds one 160 KB operand but not the loop's working set; a
+  // prefetch is admitted only when the headroom covers the block.
   double v = RunIterativeScript(
-      SystemDSContext::Builder().BufferPoolLimit(64 * 1024));
+      SystemDSContext::Builder().BufferPoolLimit(240 * 1024));
   EXPECT_NE(v, 0.0);
   // The loop's liveness hints scheduled background restores of spilled
   // operands at iteration boundaries.
