@@ -323,6 +323,75 @@ TEST_F(CheckpointFileTest, VariableFilesMatchGoldenBytes) {
 }
 
 // ---------------------------------------------------------------------------
+// The checksummed streams across their 1 MB buffer boundaries.
+
+TEST(ChecksummedStreamTest, MixedPieceSizesRoundTripAcrossBufferBoundaries) {
+  TempDir dir("stream");
+  constexpr size_t kMiB = size_t{1} << 20;
+  const size_t pieces[] = {1, 7, 4096, kMiB - 3, kMiB, kMiB + 9};
+  std::mt19937_64 rng(5);
+  for (size_t total : {size_t{0}, size_t{1}, kMiB - 1, kMiB, kMiB + 1,
+                       3 * kMiB + 5}) {
+    std::string payload(total, '\0');
+    for (char& c : payload) c = static_cast<char>(rng());
+    const std::string path = dir.File("p" + std::to_string(total));
+    ASSERT_TRUE(io::WriteAtomic(path, [&](std::ostream& out) {
+                  size_t pos = 0;
+                  while (pos < total) {
+                    if (rng() % 5 == 0) {  // single characters: overflow()
+                      out.put(payload[pos++]);
+                      continue;
+                    }
+                    size_t n = std::min(pieces[rng() % 6], total - pos);
+                    out.write(payload.data() + pos,
+                              static_cast<std::streamsize>(n));
+                    pos += n;
+                  }
+                  return Status::Ok();
+                }).ok());
+    // The footer records the payload size and the oracle's CRC.
+    const std::string file = ReadFile(path);
+    ASSERT_EQ(file.size(), total + io::kChecksumFooterSize);
+    int64_t recorded = 0;
+    uint32_t crc = 0;
+    std::memcpy(&recorded, file.data() + total + 8, 8);
+    std::memcpy(&crc, file.data() + total + 16, 4);
+    OracleCrc oracle;
+    oracle.Update(reinterpret_cast<const unsigned char*>(payload.data()),
+                  total);
+    EXPECT_EQ(recorded, static_cast<int64_t>(total));
+    EXPECT_EQ(crc, oracle.Value());
+
+    // Read back in mixed pieces, then once more reading only a prefix: the
+    // unread rest is drained into the CRC and the file still verifies.
+    for (bool whole : {true, false}) {
+      std::string got;
+      Status st = io::ReadVerified(path, [&](std::istream& in, int64_t size) {
+        EXPECT_EQ(size, static_cast<int64_t>(total));
+        const size_t want = whole ? total : total / 3;
+        got.resize(want);
+        size_t pos = 0;
+        while (pos < want) {
+          if (rng() % 5 == 0) {
+            got[pos++] = static_cast<char>(in.get());
+            continue;
+          }
+          size_t n = std::min(pieces[rng() % 6], want - pos);
+          in.read(got.data() + pos, static_cast<std::streamsize>(n));
+          pos += n;
+        }
+        if (whole && in.peek() != std::char_traits<char>::eof()) {
+          return Internal("stream did not end at the payload end");
+        }
+        return in ? Status::Ok() : Internal("short read");
+      });
+      ASSERT_TRUE(st.ok()) << "size " << total << ": " << st;
+      EXPECT_EQ(got, payload.substr(0, got.size())) << "size " << total;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Damaged files are kCorrupt through every ReadVerified caller.
 
 TEST(SpillCorruptionTest, BufferPoolRestoreRejectsDamageAndKeepsFile) {
