@@ -26,8 +26,8 @@
 // --mem-limit BYTES caps the buffer pool: matrix data beyond the limit is
 // transparently spilled to temp files and restored on access (results are
 // identical at any limit; --metrics reports the bufferpool.* counters).
-// --no-write-behind / --no-prefetch disable the pool's asynchronous spill
-// writer and loop-hint prefetcher for debugging or benchmarking stalls.
+// --no-prefetch disables the pool's loop-hint prefetcher for debugging or
+// benchmarking stalls.
 
 #include <fstream>
 #include <iostream>
@@ -46,8 +46,7 @@ int main(int argc, char** argv) {
                  " [--chaos-seed N] [--no-fusion] [--compress]"
                  " [--transform-compressed]"
                  " [--checkpoint-dir DIR] [--checkpoint-interval N]"
-                 " [--resume] [--mem-limit BYTES] [--no-write-behind]"
-                 " [--no-prefetch]\n";
+                 " [--resume] [--mem-limit BYTES] [--no-prefetch]\n";
     return 2;
   }
 
@@ -97,8 +96,6 @@ int main(int argc, char** argv) {
       config.checkpoint_resume = true;
     } else if ((arg == "--mem-limit" || arg == "-mem-limit") && i + 1 < argc) {
       config.buffer_pool_limit = std::atoll(argv[++i]);
-    } else if (arg == "--no-write-behind" || arg == "-no-write-behind") {
-      config.buffer_pool_write_behind = false;
     } else if (arg == "--no-prefetch" || arg == "-no-prefetch") {
       config.buffer_pool_prefetch = false;
     } else if (arg == "-reuse" || arg == "-threads" || arg == "--trace" ||

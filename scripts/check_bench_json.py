@@ -26,7 +26,10 @@ REQUIRED = {
     "BENCH_bufferpool.json": {
         "top": ["host"],
         "records": {
+            "eviction_stall": ["spill_s", "stall_s", "absorbed_ratio",
+                               "free_drops"],
             "loop_prefetch": ["prefetch_issued", "prefetch_hits"],
+            "scan_resistance": ["restores_2q", "scan_evictions"],
             "spill_restore": ["dense_spill_mb_s", "dense_restore_mb_s",
                               "sparse_spill_mb_s", "sparse_restore_mb_s"],
         },

@@ -208,11 +208,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::BufferPoolLimit(
   config_.buffer_pool_limit = bytes;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::BufferPoolWriteBehind(
-    bool on) {
-  config_.buffer_pool_write_behind = on;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::BufferPoolPrefetch(
     bool on) {
   config_.buffer_pool_prefetch = on;
@@ -326,7 +321,6 @@ SystemDSContext::SystemDSContext(DMLConfig config)
     : config_(std::make_shared<DMLConfig>(config)) {
   BufferPool::Options pool_options;
   pool_options.limit_bytes = config_->buffer_pool_limit;
-  pool_options.write_behind = config_->buffer_pool_write_behind;
   pool_options.prefetch = config_->buffer_pool_prefetch;
   pool_ = std::make_shared<BufferPool>(pool_options);
   cache_ = std::make_shared<LineageCache>(config_->lineage_cache_limit,

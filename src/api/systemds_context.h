@@ -182,10 +182,9 @@ class SystemDSContext {
     Builder& NumThreads(int n);
     Builder& CpMemoryBudget(int64_t bytes);
     Builder& BufferPoolLimit(int64_t bytes);
-    /// Asynchronous buffer-pool behaviour (`dml_runner --no-write-behind`
-    /// / `--no-prefetch` map to these). Both default to on; results are
-    /// bit-identical either way — only stall time changes.
-    Builder& BufferPoolWriteBehind(bool on = true);
+    /// Loop-hint prefetch of spilled operands (`dml_runner --no-prefetch`
+    /// maps to this). Defaults to on; results are bit-identical either way
+    /// — only stall time changes.
     Builder& BufferPoolPrefetch(bool on = true);
     Builder& BlockSize(int64_t rows);
     Builder& LineageTracing(bool on = true);

@@ -42,11 +42,6 @@ struct DMLConfig {
 
   // Buffer-pool limit (bytes of cached matrix data before eviction).
   int64_t buffer_pool_limit = 1LL * 1024 * 1024 * 1024;
-  // Write-behind eviction: a background thread spills dirty unpinned
-  // blocks ahead of need so evictions become free drops of clean blocks;
-  // callers only block on spill writes above the pool's hard limit. When
-  // off, every eviction writes synchronously on the evicting thread.
-  bool buffer_pool_write_behind = true;
   // Hint-driven prefetch: loops restore their spilled invariant operands
   // asynchronously at iteration boundaries (compiler liveness hints).
   bool buffer_pool_prefetch = true;

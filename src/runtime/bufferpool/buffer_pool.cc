@@ -58,6 +58,13 @@ PoolMetrics& Metrics() {
   return m;
 }
 
+// Callers block on synchronous eviction only above limit * kHardLimitFactor;
+// between the soft and the hard limit the background writer catches up.
+constexpr double kHardLimitFactor = 1.25;
+// Share of the limit reserved for the probationary A1in queue before its
+// head is evicted in preference to the protected queue.
+constexpr double kProbationFraction = 0.25;
+
 int64_t NowNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -76,9 +83,7 @@ BufferPool::BufferPool(const Options& options)
                    .string();
   std::error_code ec;
   std::filesystem::create_directories(spill_dir_, ec);
-  if (options_.write_behind || options_.prefetch) {
-    background_ = std::thread([this] { BackgroundLoop(); });
-  }
+  background_ = std::thread([this] { BackgroundLoop(); });
 }
 
 BufferPool::~BufferPool() {
@@ -98,7 +103,7 @@ BufferPool::~BufferPool() {
     task_queue_.clear();
   }
   work_cv_.notify_all();
-  if (background_.joinable()) background_.join();
+  background_.join();
   std::error_code ec;
   std::filesystem::remove_all(spill_dir_, ec);
 }
@@ -108,7 +113,7 @@ std::string BufferPool::SpillPathFor(const MatrixObject* obj) const {
 }
 
 void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(obj);
   bool pinned = false;
   if (it == entries_.end()) {
@@ -139,17 +144,15 @@ void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
     Metrics().headroom->Set(limit_bytes_ - pinned_bytes_ -
                             inflight_restore_bytes_);
   }
-  int target = 1;  // Am / the single LRU queue
-  if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) {
-    target = 0;  // probationary A1in until the object proves re-reference
-  }
+  // Probationary A1in until the object proves re-reference.
+  const int target = e.touches < 2 ? 0 : 1;
   e.queue = target;
   queues_[target].push_back(obj);
   e.pos = std::prev(queues_[target].end());
   e.resident = true;
   cached_bytes_ += size_bytes;
   queue_bytes_[target] += size_bytes;
-  EvictIfNeededLocked(lock, /*caller_blocking=*/true);
+  EvictIfNeededLocked(/*caller_blocking=*/true);
   Metrics().cached_bytes->Set(cached_bytes_);
 }
 
@@ -161,25 +164,19 @@ void BufferPool::Touch(MatrixObject* obj) {
   ++e.touches;
   e.prefetched = false;  // the demand read the prefetch was for
   if (!e.resident) return;  // ghost touch: remembered for re-admission
-  int target = e.queue;
-  if (options_.policy == EvictionPolicy::k2Q && e.queue == 0 &&
-      e.touches >= 2) {
-    target = 1;  // promote probation -> protected on re-reference
-  }
-  if (target != e.queue) {
-    queues_[e.queue].erase(e.pos);
-    queue_bytes_[e.queue] -= e.size;
-    queues_[target].push_back(obj);
-    e.pos = std::prev(queues_[target].end());
-    e.queue = target;
-    queue_bytes_[target] += e.size;
-  } else {
-    // Move most-recently-used within its queue (FIFO order is preserved
-    // for probationary entries: one touch does not reorder A1in).
-    if (e.queue == 1) {
-      queues_[1].splice(queues_[1].end(), queues_[1], e.pos);
-      e.pos = std::prev(queues_[1].end());
-    }
+  if (e.queue == 0 && e.touches >= 2) {
+    // Promote probation -> protected on re-reference.
+    queues_[0].erase(e.pos);
+    queue_bytes_[0] -= e.size;
+    queues_[1].push_back(obj);
+    e.pos = std::prev(queues_[1].end());
+    e.queue = 1;
+    queue_bytes_[1] += e.size;
+  } else if (e.queue == 1) {
+    // Move most-recently-used within the protected queue (FIFO order is
+    // preserved for probationary entries: one touch does not reorder A1in).
+    queues_[1].splice(queues_[1].end(), queues_[1], e.pos);
+    e.pos = std::prev(queues_[1].end());
   }
 }
 
@@ -224,14 +221,13 @@ void BufferPool::Unregister(MatrixObject* obj) {
     e->restoring = false;
     inflight_restore_bytes_ -= e->size;
   }
-  RemoveEntryLocked(e, obj);
+  RemoveEntryLocked(e);
   entries_.erase(it);
   Metrics().cached_bytes->Set(cached_bytes_);
   Metrics().pinned_bytes->Set(pinned_bytes_);
 }
 
-void BufferPool::RemoveEntryLocked(Entry* e, MatrixObject* obj) {
-  (void)obj;
+void BufferPool::RemoveEntryLocked(Entry* e) {
   if (e->resident) {
     cached_bytes_ -= e->size;
     queue_bytes_[e->queue] -= e->size;
@@ -258,7 +254,7 @@ void BufferPool::NotePinned(MatrixObject* obj, bool pinned) {
 }
 
 void BufferPool::Prefetch(MatrixObject* obj) {
-  if (!options_.prefetch || background_.joinable() == false) return;
+  if (!options_.prefetch) return;
   // Sizing the object takes its lock: pool -> object nesting is the
   // sanctioned order.
   const bool resident = obj->HasPayload();
@@ -308,7 +304,7 @@ void BufferPool::Drain() {
   inflight_cv_.wait(lock, [&] {
     return task_queue_.empty() && inflight_tasks_ == 0;
   });
-  EvictIfNeededLocked(lock, /*caller_blocking=*/false);
+  EvictIfNeededLocked(/*caller_blocking=*/false);
   Metrics().cached_bytes->Set(cached_bytes_);
 }
 
@@ -333,9 +329,9 @@ int64_t BufferPool::limit_bytes() const {
 }
 
 void BufferPool::SetLimit(int64_t limit_bytes) {
-  std::unique_lock<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   limit_bytes_ = limit_bytes;
-  EvictIfNeededLocked(lock, /*caller_blocking=*/true);
+  EvictIfNeededLocked(/*caller_blocking=*/true);
   Metrics().cached_bytes->Set(cached_bytes_);
 }
 
@@ -347,13 +343,10 @@ MatrixObject* BufferPool::PickVictimLocked(
     }
     return nullptr;
   };
-  if (options_.policy == EvictionPolicy::kLru) {
-    return first_unskipped(queues_[1]);
-  }
-  // 2Q: evict probation first while it holds more than its reservation (or
-  // the protected queue is empty), else the protected LRU head.
-  int64_t a1_target = static_cast<int64_t>(
-      static_cast<double>(limit_bytes_) * options_.probation_fraction);
+  // Evict probation first while it holds more than its reservation (or the
+  // protected queue is empty), else the protected LRU head.
+  const int64_t a1_target = static_cast<int64_t>(
+      static_cast<double>(limit_bytes_) * kProbationFraction);
   MatrixObject* victim = nullptr;
   if (queue_bytes_[0] > a1_target || queues_[1].empty()) {
     victim = first_unskipped(queues_[0]);
@@ -369,15 +362,11 @@ MatrixObject* BufferPool::PickVictimLocked(
   return victim;
 }
 
-void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
-                                     bool caller_blocking) {
+void BufferPool::EvictIfNeededLocked(bool caller_blocking) {
   if (cached_bytes_ <= limit_bytes_) return;
   const int64_t t0 = caller_blocking ? NowNanos() : 0;
-  const int64_t hard_limit =
-      options_.write_behind
-          ? static_cast<int64_t>(static_cast<double>(limit_bytes_) *
-                                 options_.hard_limit_factor)
-          : limit_bytes_;
+  const int64_t hard_limit = static_cast<int64_t>(
+      static_cast<double>(limit_bytes_) * kHardLimitFactor);
   // Victims that cannot make progress this pass: pinned, mid-writeback,
   // scheduled for write-behind, or re-pinned after a failed spill.
   std::unordered_set<MatrixObject*> skip;
@@ -386,10 +375,18 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
   // hard limit.
   std::vector<MatrixObject*> spared;
   bool spare_prefetched = true;
-  bool did_sync_spill = false;
+  // An evicted object leaves the pool's tracking until it is restored.
+  auto forget = [&](MatrixObject* victim, Entry& e) {
+    Metrics().evictions->Add(1);
+    Metrics().spilled_bytes->Add(e.size);
+    PurgeTasksLocked(victim, &e);
+    RemoveEntryLocked(&e);
+    entries_.erase(victim);
+    ++evictions_;
+  };
   while (cached_bytes_ > limit_bytes_) {
-    MatrixObject* victim = PickVictimLocked(
-        skip, options_.write_behind && cached_bytes_ <= hard_limit);
+    MatrixObject* victim =
+        PickVictimLocked(skip, /*protect_am=*/cached_bytes_ <= hard_limit);
     if (victim == nullptr) {
       if (!spare_prefetched || spared.empty() || cached_bytes_ <= hard_limit) {
         break;
@@ -411,21 +408,15 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
     }
     // Clean blocks drop for free: the spill file already holds the bytes.
     if (victim->DropIfClean()) {
-      int64_t size = e.size;
-      PurgeTasksLocked(victim, &e);
-      RemoveEntryLocked(&e, victim);
-      entries_.erase(victim);
-      ++evictions_;
-      Metrics().evictions->Add(1);
+      forget(victim, e);
       Metrics().free_drops->Add(1);
-      Metrics().spilled_bytes->Add(size);
       obs::Tracer::Instant("bufferpool", "evict_free");
       continue;
     }
     // Dirty victim. Under the hard limit, hand it to the background writer
     // and keep scanning for clean blocks; above it, spill synchronously —
     // the caller eats the write so memory stays bounded.
-    if (options_.write_behind && cached_bytes_ <= hard_limit) {
+    if (cached_bytes_ <= hard_limit) {
       EnqueueLocked({TaskKind::kWriteback, victim}, &e);
       skip.insert(victim);
       continue;
@@ -451,19 +442,10 @@ void BufferPool::EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
       skip.insert(victim);
       continue;
     }
-    int64_t size = e.size;
-    PurgeTasksLocked(victim, &e);
-    RemoveEntryLocked(&e, victim);
-    entries_.erase(victim);
-    ++evictions_;
-    did_sync_spill = true;
-    Metrics().evictions->Add(1);
+    forget(victim, e);
     Metrics().sync_spills->Add(1);
-    Metrics().spilled_bytes->Add(size);
     obs::Tracer::Instant("bufferpool", "evict");
   }
-  (void)lock;
-  (void)did_sync_spill;
   if (caller_blocking) {
     Metrics().evict_stall_ns->Observe(NowNanos() - t0);
   }
@@ -504,7 +486,7 @@ void BufferPool::BackgroundLoop() {
     --inflight_tasks_;
     inflight_cv_.notify_all();
     if (cached_bytes_ > limit_bytes_) {
-      EvictIfNeededLocked(lock, /*caller_blocking=*/false);
+      EvictIfNeededLocked(/*caller_blocking=*/false);
     }
     Metrics().cached_bytes->Set(cached_bytes_);
   }
@@ -564,8 +546,7 @@ void BufferPool::RunPrefetch(MatrixObject* obj,
   // entry at its pre-restore size estimate.
   if (e.pinned) pinned_bytes_ += size - e.size;
   e.size = size;
-  int target = 1;
-  if (options_.policy == EvictionPolicy::k2Q && e.touches < 2) target = 0;
+  const int target = e.touches < 2 ? 0 : 1;
   e.queue = target;
   queues_[target].push_back(obj);
   e.pos = std::prev(queues_[target].end());

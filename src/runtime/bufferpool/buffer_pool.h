@@ -21,7 +21,8 @@ class MatrixObject;
 ///
 /// Tracks the in-memory matrix working set against a byte limit and evicts
 /// unpinned variables to local temp files when the limit is exceeded. Three
-/// properties distinguish it from a synchronous LRU cache:
+/// properties distinguish it from a synchronous LRU cache; none of them can
+/// be switched off (prefetch aside), so there is one eviction path:
 ///
 ///  1. Write-behind eviction. Blocks are immutable once constructed, so an
 ///     object whose spill file has been written ("clean") can be evicted by
@@ -29,15 +30,14 @@ class MatrixObject;
 ///     A background writer thread spills dirty unpinned blocks ahead of
 ///     need (via the crash-safe io::WriteAtomic path), turning most future
 ///     evictions into free page drops. Synchronous spilling only happens
-///     as a backstop when memory exceeds the hard limit (limit times
-///     Options::hard_limit_factor) faster than the writer can drain.
+///     as a backstop when memory exceeds the hard limit (1.25 times the
+///     limit) faster than the writer can drain.
 ///
-///  2. Scan-resistant victim selection. The default 2Q-style policy keeps a
+///  2. Scan-resistant victim selection. A 2Q-style policy keeps a
 ///     probationary FIFO (A1in) for objects seen once and a protected LRU
 ///     (Am) for objects re-referenced after admission. One large scan
 ///     (decompress, transformencode, data load) cycles through A1in without
-///     displacing the protected working set. Options::policy = kLru
-///     restores the classic single-queue behaviour for comparison.
+///     displacing the protected working set.
 ///
 ///  3. Pressure export and hint-driven prefetch. Headroom() reports
 ///     limit - pinned - inflight-restore bytes, the real admission signal
@@ -51,7 +51,7 @@ class MatrixObject;
 ///
 ///   resident-dirty --(write-behind / sync spill write)--> resident-clean
 ///   resident-clean --(evict: free drop)-----------------> spilled
-///   resident-dirty --(sync evict: write + drop)---------> spilled
+///   resident-dirty --(sync evict above the hard limit)--> spilled
 ///   spilled --(AcquireRead miss / Prefetch)-------------> restoring
 ///   restoring --(read + checksum verify ok)-------------> resident-clean
 ///   restoring --(kCorrupt / kIoError)-------------------> spilled (file
@@ -73,28 +73,12 @@ class MatrixObject;
 /// mutex.
 class BufferPool {
  public:
-  enum class EvictionPolicy {
-    kLru,  // single recency queue (the pre-async behaviour)
-    k2Q,   // probationary FIFO + protected LRU (scan-resistant, default)
-  };
-
   struct Options {
     int64_t limit_bytes = 0;
-    EvictionPolicy policy = EvictionPolicy::k2Q;
-    /// Background spill writer: evictions prefer free drops of clean
-    /// blocks and dirty victims are written behind. When off, every
-    /// eviction writes synchronously on the caller thread.
-    bool write_behind = true;
     /// Accept Prefetch() hints (loop-invariant reads restore ahead of
-    /// need). When off, Prefetch() is a no-op.
+    /// need). When off, Prefetch() is a no-op: the demand-paging run that
+    /// prefetch is measured against.
     bool prefetch = true;
-    /// Callers block on synchronous eviction only above
-    /// limit_bytes * hard_limit_factor; between the soft and hard limit
-    /// the writer catches up asynchronously.
-    double hard_limit_factor = 1.25;
-    /// Fraction of the limit reserved for the probationary A1in queue
-    /// before its head is evicted in preference to the protected queue.
-    double probation_fraction = 0.25;
   };
 
   explicit BufferPool(int64_t limit_bytes);
@@ -109,8 +93,8 @@ class BufferPool {
   void Register(MatrixObject* obj, int64_t size_bytes);
 
   /// Marks the object referenced: promotes a re-referenced probationary
-  /// entry to the protected queue (2Q) or moves it most-recently-used
-  /// (LRU).
+  /// entry to the protected queue, or moves a protected entry
+  /// most-recently-used.
   void Touch(MatrixObject* obj);
 
   /// Removes the object from tracking (destruction or eviction). Blocks
@@ -191,8 +175,7 @@ class BufferPool {
 
   // All *Locked methods require mutex_ held. `caller_blocking` is true when
   // a foreground thread is waiting on the pass (feeds the stall histogram).
-  void EvictIfNeededLocked(std::unique_lock<std::mutex>& lock,
-                           bool caller_blocking);
+  void EvictIfNeededLocked(bool caller_blocking);
   // `protect_am` guards the protected queue against scan pressure: when the
   // probation queue is over its reservation but has no actionable victim
   // (everything queued behind the writer), return null and let the pass
@@ -200,7 +183,7 @@ class BufferPool {
   // hard limit, where bounding memory beats preserving the working set.
   MatrixObject* PickVictimLocked(
       const std::unordered_set<MatrixObject*>& skip, bool protect_am);
-  void RemoveEntryLocked(Entry* e, MatrixObject* obj);
+  void RemoveEntryLocked(Entry* e);
   // Drops queued (not yet started) tasks referencing `obj` and resets the
   // matching entry flags. `e` may be null when the object has no entry.
   void PurgeTasksLocked(MatrixObject* obj, Entry* e);
@@ -224,7 +207,7 @@ class BufferPool {
   std::string spill_dir_;
   std::deque<Task> task_queue_;
   // queues_[0] = A1in probationary FIFO, queues_[1] = Am protected LRU.
-  // In kLru mode only queues_[1] is used. Front = next eviction candidate.
+  // Front = next eviction candidate.
   std::list<MatrixObject*> queues_[2];
   int64_t queue_bytes_[2] = {0, 0};
   std::unordered_map<MatrixObject*, Entry> entries_;

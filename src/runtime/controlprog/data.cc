@@ -185,11 +185,12 @@ void MatrixObject::BindPool(std::shared_ptr<BufferPool> pool) {
   bound->Register(this, size);
 }
 
-StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
+template <typename T, typename Select>
+StatusOr<const T*> MatrixObject::Acquire(Select select) {
   // Pin BEFORE any pool interaction: a re-registration below may trigger
   // evictions, and an unpinned freshly-restored block could be chosen as
   // its own victim (returning a dangling reference).
-  const MatrixBlock* result;
+  const T* result;
   bool restored = false;
   bool prefetch_hit = false;
   bool first_pin = false;
@@ -214,19 +215,16 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
       // the read (the prefetcher registers the block).
       restored = !prefetched_;
     }
-    if (block_ == nullptr && compressed_ != nullptr) {
-      // Materialize an uncompressed view for kernels without a compressed
-      // implementation. The compressed form stays authoritative — eviction
-      // spills it, not the decompressed copy.
-      SYSDS_SPAN("compress", "decompress_on_read");
-      block_ = std::make_shared<MatrixBlock>(compressed_->Decompress());
-      DecompressFallbacks()->Add(1);
-      restored = true;
+    StatusOr<const T*> selected = select(restored);
+    if (!selected.ok()) {
+      --pin_count_;
+      PoolMisses()->Add(1);
+      return selected.status();
     }
     prefetch_hit = !restored && prefetched_;
     prefetched_ = false;
     if (restored || first_pin) size = EstimateSizeLocked();
-    result = block_.get();
+    result = *selected;
     pool = pool_.get();
   }
   if (restored) {
@@ -241,6 +239,21 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
     if (first_pin) pool->NotePinned(this, true);
   }
   return result;
+}
+
+StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
+  return Acquire<MatrixBlock>([this](bool& restored) -> const MatrixBlock* {
+    if (block_ == nullptr) {
+      // Materialize an uncompressed view for kernels without a compressed
+      // implementation. The compressed form stays authoritative — eviction
+      // spills it, not the decompressed copy.
+      SYSDS_SPAN("compress", "decompress_on_read");
+      block_ = std::make_shared<MatrixBlock>(compressed_->Decompress());
+      DecompressFallbacks()->Add(1);
+      restored = true;
+    }
+    return block_.get();
+  });
 }
 
 void MatrixObject::Release() {
@@ -256,92 +269,26 @@ void MatrixObject::Release() {
 }
 
 StatusOr<const CompressedMatrixBlock*> MatrixObject::AcquireCompressed() {
-  const CompressedMatrixBlock* result;
-  bool restored = false;
-  bool prefetch_hit = false;
-  bool first_pin = false;
-  int64_t size = 0;
-  BufferPool* pool = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++pin_count_;
-    first_pin = pin_count_ == 1;
-    if (compressed_ == nullptr) {
-      if (!spilled_compressed_) {
-        --pin_count_;
-        return Internal("matrix has no compressed representation");
-      }
-      SYSDS_SPAN("bufferpool", "restore");
-      Status s = EnsureRestoredLocked(lock);
-      if (!s.ok() || compressed_ == nullptr) {
-        --pin_count_;
-        PoolMisses()->Add(1);
-        return s.ok() ? Internal("compressed restore produced no block") : s;
-      }
-      restored = !prefetched_;
-    }
-    prefetch_hit = !restored && prefetched_;
-    prefetched_ = false;
-    if (restored || first_pin) size = EstimateSizeLocked();
-    result = compressed_.get();
-    pool = pool_.get();
+  // The representation is fixed at construction, so this check needs no
+  // pin: a compressed object stays compressed, resident or spilled.
+  if (!HasCompressed()) {
+    return Internal("matrix has no compressed representation");
   }
-  if (restored) {
-    PoolMisses()->Add(1);
-  } else {
-    PoolHits()->Add(1);
-  }
-  if (prefetch_hit) PrefetchHits()->Add(1);
-  if (pool != nullptr) {
-    if (restored) pool->Register(this, size);
-    pool->Touch(this);
-    if (first_pin) pool->NotePinned(this, true);
-  }
-  return result;
+  return Acquire<CompressedMatrixBlock>(
+      [this](bool&) -> StatusOr<const CompressedMatrixBlock*> {
+        if (compressed_ == nullptr) {
+          return Internal("compressed restore produced no block");
+        }
+        return compressed_.get();
+      });
 }
 
 StatusOr<bool> MatrixObject::EvictTo(const std::string& path) {
-  // Called by the buffer pool (which holds its own lock); the object lock
-  // closes the race against a concurrent AcquireRead pinning the block.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if ((block_ == nullptr && compressed_ == nullptr) || pin_count_ > 0 ||
-      spilling_) {
-    return false;
-  }
-  if (clean_spill_ && !evicted_path_.empty()) {
-    // The spill file already holds the payload (write-behind ran, or the
-    // object was restored and kept its file): eviction is a free drop.
-    block_.reset();
-    compressed_.reset();
-    prefetched_ = false;
-    return true;
-  }
-  if (FaultInjector::Get().ShouldInject(FaultLayer::kBufferPool, 0,
-                                        FaultKind::kSpillIoError)) {
-    return IoError("bufferpool: injected spill write error (" + path + ")");
-  }
-  if (compressed_ != nullptr) {
-    // Spill in compressed form (§3.4): the file is a fraction of the dense
-    // block and a restore skips re-running the planner. The decompressed
-    // copy, if any, is discarded — it can be rebuilt from the spill.
-    const CompressedMatrixBlock& cb = *compressed_;
-    SYSDS_RETURN_IF_ERROR(io::WriteAtomic(path, [&cb](std::ostream& out) {
-      return WriteCompressedStream(cb, out);
-    }));
-    spilled_compressed_ = true;
-  } else {
-    const MatrixBlock& mb = *block_;
-    SYSDS_RETURN_IF_ERROR(io::WriteAtomic(path, [&mb](std::ostream& out) {
-      return io::WriteMatrixBinaryStream(mb, out);
-    }));
-    spilled_compressed_ = false;
-  }
-  evicted_path_ = path;
-  clean_spill_ = true;
-  block_.reset();
-  compressed_.reset();
-  prefetched_ = false;
-  return true;
+  // Write (a no-op when the object is already clean), then drop. A pin taken
+  // between the two keeps the block resident, now clean.
+  StatusOr<bool> wrote = WriteBack(path);
+  if (!wrote.ok()) return wrote.status();
+  return DropIfClean();
 }
 
 StatusOr<bool> MatrixObject::WriteBack(const std::string& path) {
@@ -365,6 +312,9 @@ StatusOr<bool> MatrixObject::WriteBack(const std::string& path) {
     written =
         IoError("bufferpool: injected writeback error (" + path + ")");
   } else if (compressed != nullptr) {
+    // Spill in compressed form (§3.4): the file is a fraction of the dense
+    // block and a restore skips re-running the planner. The decompressed
+    // copy, if any, is not written — it can be rebuilt from the spill.
     const CompressedMatrixBlock& cb = *compressed;
     written = io::WriteAtomic(path, [&cb](std::ostream& out) {
       return WriteCompressedStream(cb, out);

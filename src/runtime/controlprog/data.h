@@ -132,13 +132,14 @@ class MatrixObject final : public Data {
     return prefetched_;
   }
 
-  /// Buffer-pool hook: spills the block to `path` and drops it. When the
-  /// object is clean (its spill file already holds the payload — blocks
-  /// are immutable, so a spill file once written stays valid), the drop is
-  /// free and no I/O happens. Returns true if the block was evicted, false
-  /// if eviction was skipped (pinned, already evicted, or a write-behind
-  /// spill is in flight), or an error when the spill write failed (the
-  /// block stays safely in memory; the pool retries once, then re-pins).
+  /// Buffer-pool hook for the synchronous spill: WriteBack(path), then
+  /// DropIfClean(). When the object is already clean (its spill file holds
+  /// the payload — blocks are immutable, so a spill file once written stays
+  /// valid), the drop is free and no I/O happens. Returns true if the block
+  /// was evicted, false if the drop was skipped (pinned — then the block
+  /// stays resident and clean — already evicted, or a write-behind spill is
+  /// in flight), or an error when the spill write failed (the block stays
+  /// safely in memory; the pool retries once, then re-pins).
   StatusOr<bool> EvictTo(const std::string& path);
 
   /// Write-behind hook: writes the payload to `path` without dropping it,
@@ -188,6 +189,16 @@ class MatrixObject final : public Data {
   // is also kept and the object stays clean: blocks are immutable, so the
   // file remains valid and re-eviction is a free drop.
   Status EnsureRestoredLocked(std::unique_lock<std::mutex>& lock);
+
+  // The acquire path of AcquireRead and AcquireCompressed: pins, restores a
+  // spilled payload, then calls `select(restored)` under the lock to pick
+  // the representation to return. `select` sets `restored` when it had to
+  // build that representation (decompress-on-read counts as a miss); an
+  // error it returns undoes the pin. Then counts the hit or miss (and a
+  // prefetch hit) and runs the pool tail: Register after a miss, Touch, and
+  // NotePinned on the first pin.
+  template <typename T, typename Select>
+  StatusOr<const T*> Acquire(Select select);
 
   // Sum of the in-memory representations (caller holds mutex_); falls back
   // to the metadata estimate when everything is evicted.

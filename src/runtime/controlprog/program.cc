@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -95,7 +96,8 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
   for (const InstructionPtr& instr : instructions) {
     if (interruptible) SYSDS_RETURN_IF_ERROR(ec->CheckInterrupt());
     SYSDS_SPAN("cp", instr->opcode());
-    Timer timer;
+    std::optional<Timer> timer;
+    if (stats) timer.emplace();
     LineageItemPtr item;
     bool nondet = false;
     if (tracing && !instr->outputs().empty()) {
@@ -156,7 +158,7 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
 
     if (stats) {
       Statistics::Get().IncInstruction(instr->opcode(),
-                                       timer.ElapsedSeconds());
+                                       timer->ElapsedSeconds());
     }
   }
   return Status::Ok();

@@ -3,6 +3,7 @@
 // resistance, pressure-aware admission, and the chaos paths (failed
 // writebacks, corrupt spill files) the synchronous stub never exercised.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -164,30 +165,67 @@ TEST_F(BufferPoolAsyncTest, PrefetchRestoresAheadOfDemand) {
 
 TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
   // A re-referenced (protected) object must survive a one-touch scan that
-  // is larger than the pool; under pure LRU the same scan flushes it.
-  auto run_scan = [](BufferPool::EvictionPolicy policy) {
-    BufferPool::Options opt;
-    opt.limit_bytes = 400 * 1024;
-    opt.policy = policy;
-    auto pool = std::make_shared<BufferPool>(opt);
-    auto hot = Pooled(pool, MatrixBlock::Dense(100, 100, 1.0));
-    // Re-reference: promoted to the protected queue under 2Q.
-    for (int i = 0; i < 3; ++i) {
-      auto r = hot->AcquireRead();
-      EXPECT_TRUE(r.ok());
-      hot->Release();
-    }
-    // One-touch scan, 2x the pool size.
-    std::vector<std::shared_ptr<MatrixObject>> scan;
-    for (int i = 0; i < 10; ++i) {
-      scan.push_back(Pooled(pool, MatrixBlock::Dense(100, 100, 2.0)));
-    }
-    pool->Drain();
-    bool hot_survived = hot->HasPayload();
-    return hot_survived;
-  };
-  EXPECT_TRUE(run_scan(BufferPool::EvictionPolicy::k2Q));
-  EXPECT_FALSE(run_scan(BufferPool::EvictionPolicy::kLru));
+  // is larger than the pool, while the scan itself is evicted.
+  auto pool = std::make_shared<BufferPool>(400 * 1024);
+  auto hot = Pooled(pool, MatrixBlock::Dense(100, 100, 1.0));
+  // Re-reference: promoted to the protected queue.
+  for (int i = 0; i < 3; ++i) {
+    auto r = hot->AcquireRead();
+    EXPECT_TRUE(r.ok());
+    hot->Release();
+  }
+  // One-touch scan, 2x the pool size.
+  std::vector<std::shared_ptr<MatrixObject>> scan;
+  for (int i = 0; i < 10; ++i) {
+    scan.push_back(Pooled(pool, MatrixBlock::Dense(100, 100, 2.0)));
+  }
+  pool->Drain();
+  EXPECT_GT(pool->EvictionCount(), 0) << "the scan must overflow the pool";
+  int evicted_scan = 0;
+  for (const auto& m : scan) evicted_scan += m->HasPayload() ? 0 : 1;
+  EXPECT_GT(evicted_scan, 0);
+  EXPECT_TRUE(hot->HasPayload()) << "the protected block survives the scan";
+  int64_t reads_before = RestoreCount();
+  auto r = hot->AcquireRead();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_DOUBLE_EQ((*r)->Get(7, 7), 1.0);
+  hot->Release();
+  EXPECT_EQ(RestoreCount(), reads_before) << "no demand restore of hot";
+}
+
+TEST_F(BufferPoolAsyncTest, EvictToKeepsABlockPinnedAfterItsWriteResident) {
+  // EvictTo is WriteBack followed by DropIfClean. A pin taken once the
+  // write is done makes the drop fail: the block stays resident and clean.
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("sysds_evict_pin_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  MatrixObject obj(MatrixBlock::Dense(32, 32, 4.0));
+  auto wrote = obj.WriteBack(path);
+  ASSERT_TRUE(wrote.ok()) << wrote.status();
+  ASSERT_TRUE(*wrote);
+  auto pinned = obj.AcquireRead();
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+
+  auto evicted = obj.EvictTo(path);
+  ASSERT_TRUE(evicted.ok()) << evicted.status();
+  EXPECT_FALSE(*evicted) << "a pinned block is not dropped";
+  EXPECT_TRUE(obj.HasPayload());
+  EXPECT_DOUBLE_EQ((*pinned)->Get(5, 5), 4.0);
+  auto rewrite = obj.WriteBack(path);
+  ASSERT_TRUE(rewrite.ok()) << rewrite.status();
+  EXPECT_FALSE(*rewrite) << "still clean: nothing left to write";
+  obj.Release();
+
+  // Once unpinned, the clean block drops for free and restores intact.
+  evicted = obj.EvictTo(path);
+  ASSERT_TRUE(evicted.ok()) << evicted.status();
+  EXPECT_TRUE(*evicted);
+  EXPECT_FALSE(obj.HasPayload());
+  auto restored = obj.AcquireRead();
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_DOUBLE_EQ((*restored)->Get(31, 31), 4.0);
+  obj.Release();
 }
 
 TEST_F(BufferPoolAsyncTest, PinnedStormExportsNegativeHeadroom) {
@@ -409,15 +447,20 @@ TEST_F(BufferPoolAsyncTest, ResultsBitIdenticalAcrossPoolConfigurations) {
       RunIterativeScript(SystemDSContext::Builder().BufferPoolLimit(1 << 30));
   double async_tiny = RunIterativeScript(
       SystemDSContext::Builder().BufferPoolLimit(64 * 1024));
-  double sync_tiny =
-      RunIterativeScript(SystemDSContext::Builder()
-                             .BufferPoolLimit(64 * 1024)
-                             .BufferPoolWriteBehind(false)
-                             .BufferPoolPrefetch(false));
+  double no_prefetch_tiny = RunIterativeScript(
+      SystemDSContext::Builder().BufferPoolLimit(64 * 1024).BufferPoolPrefetch(
+          false));
+  // A pool far below one operand: every registration lands above the hard
+  // limit, so dirty victims take the synchronous EvictTo backstop.
+  int64_t sync_before = CounterValue("bufferpool.sync_spills");
+  double sync_backstop = RunIterativeScript(
+      SystemDSContext::Builder().BufferPoolLimit(16 * 1024));
+  EXPECT_GT(CounterValue("bufferpool.sync_spills"), sync_before);
   // Bit-identical, not approximately equal: spill/restore round-trips and
   // background scheduling must not perturb a single bit of the result.
   EXPECT_EQ(no_evictions, async_tiny);
-  EXPECT_EQ(no_evictions, sync_tiny);
+  EXPECT_EQ(no_evictions, no_prefetch_tiny);
+  EXPECT_EQ(no_evictions, sync_backstop);
   EXPECT_NE(no_evictions, 0.0);
 }
 
