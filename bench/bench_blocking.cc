@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "common/statistics.h"
 #include "common/util.h"
+#include "obs/metrics.h"
 #include "runtime/dist/blocked_matrix.h"
 #include "runtime/matrix/lib_datagen.h"
 #include "runtime/matrix/lib_matmult.h"
@@ -63,7 +63,7 @@ int main() {
     auto local = MatMult(*a, *b, 1);
     std::printf("%-14s%14.4f%18s\n", "local CP", tl.ElapsedSeconds(), "-");
     for (int64_t bs : {64, 128, 256, 512}) {
-      Statistics::Get().Reset();
+      obs::MetricsDiff diff;
       Timer td;
       BlockedMatrix ba = BlockedMatrix::FromMatrix(*a, bs);
       BlockedMatrix bb = BlockedMatrix::FromMatrix(*b, bs);
@@ -76,7 +76,7 @@ int main() {
       }
       std::printf("%-14lld%14.4f%18lld\n", static_cast<long long>(bs), secs,
                   static_cast<long long>(
-                      Statistics::Get().GetCounter("spark.shuffled_blocks")));
+                      diff.Counter("spark.shuffled_blocks")));
     }
   }
   return 0;

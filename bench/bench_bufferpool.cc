@@ -33,16 +33,6 @@ using namespace sysds;
 
 namespace {
 
-double HistogramSeconds(const char* name) {
-  return static_cast<double>(
-             obs::MetricsRegistry::Get().GetHistogram(name)->Sum()) /
-         1e9;
-}
-
-int64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 // Creates a matrix bound to `pool`, as an ExecutionContext binds a matrix
 // the first time it stores it.
 std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
@@ -50,12 +40,6 @@ std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
   auto m = std::make_shared<MatrixObject>(std::move(block));
   m->BindPool(pool);
   return m;
-}
-
-int64_t RestoreCount() {
-  return obs::MetricsRegistry::Get()
-      .GetHistogram("bufferpool.restore_ns")
-      ->Count();
 }
 
 struct Throughput {
@@ -118,9 +102,7 @@ StormResult RunStorm(int64_t dim, int nobjs, int limit_objs) {
   auto pool = std::make_shared<BufferPool>(opt);
 
   StormResult r;
-  double stall_before = HistogramSeconds("bufferpool.evict_stall_ns");
-  double spill_before = HistogramSeconds("bufferpool.spill_ns");
-  int64_t drops_before = CounterValue("bufferpool.free_drops");
+  obs::MetricsDiff diff;
   Timer t;
   std::vector<std::shared_ptr<MatrixObject>> objs;
   objs.reserve(static_cast<size_t>(nobjs));
@@ -142,9 +124,11 @@ StormResult RunStorm(int64_t dim, int nobjs, int limit_objs) {
   }
   pool->Drain();
   r.wall_s = t.ElapsedSeconds();
-  r.stall_s = HistogramSeconds("bufferpool.evict_stall_ns") - stall_before;
-  r.spill_s = HistogramSeconds("bufferpool.spill_ns") - spill_before;
-  r.free_drops = CounterValue("bufferpool.free_drops") - drops_before;
+  obs::MetricsSnapshot d = diff.Delta();
+  r.stall_s = static_cast<double>(
+                  d.Histogram("bufferpool.evict_stall_ns").sum) / 1e9;
+  r.spill_s = static_cast<double>(d.Histogram("bufferpool.spill_ns").sum) / 1e9;
+  r.free_drops = d.Counter("bufferpool.free_drops");
   if (sink == 12345.6789) std::printf("%f\n", sink);  // keep the compute
   return r;
 }
@@ -204,10 +188,10 @@ ScanResult RunScan(int64_t dim) {
   pool->Drain();
   ScanResult result;
   result.evictions = pool->EvictionCount();
-  int64_t restores_before = RestoreCount();
+  obs::MetricsDiff diff;
   auto r = hot->AcquireRead();
   if (r.ok()) hot->Release();
-  result.restores = RestoreCount() - restores_before;
+  result.restores = diff.Delta().Histogram("bufferpool.restore_ns").count;
   return result;
 }
 
@@ -273,15 +257,15 @@ int main(int argc, char** argv) {
     const int64_t operand_bytes = rows * 100 * 8;
     const int64_t limit = operand_bytes * 19 / 10;
     const int loop_reps = std::max(5, reps);
-    int64_t hits_before = CounterValue("bufferpool.prefetch_hits");
-    int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
+    obs::MetricsDiff diff;
     double with_pf = 1e30, without_pf = 1e30;
     for (int rep = 0; rep < loop_reps; ++rep) {
       without_pf = std::min(without_pf, RunLoop(rows, false, limit));
       with_pf = std::min(with_pf, RunLoop(rows, true, limit));
     }
-    int64_t hits = CounterValue("bufferpool.prefetch_hits") - hits_before;
-    int64_t issued = CounterValue("bufferpool.prefetch_issued") - issued_before;
+    obs::MetricsSnapshot d = diff.Delta();
+    int64_t hits = d.Counter("bufferpool.prefetch_hits");
+    int64_t issued = d.Counter("bufferpool.prefetch_issued");
     double speedup = without_pf / with_pf;
     std::printf("\n# bufferpool: 8-iter loop, %lldx100 operands, %lldKB pool\n",
                 (long long)rows, (long long)(limit / 1024));

@@ -17,10 +17,6 @@ using namespace sysds;
 
 namespace {
 
-int64_t Counter(const char* name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 FaultConfig DropConfig(double drop_prob) {
   FaultConfig c;
   c.enabled = true;
@@ -100,8 +96,7 @@ int main() {
               "timeouts");
   for (double rate : {0.0, 0.01, 0.05, 0.10}) {
     ScopedFaultInjection chaos(DropConfig(rate));
-    int64_t retries_before = Counter("fault.fed.retries");
-    int64_t timeouts_before = Counter("fault.fed.timeouts");
+    obs::MetricsDiff diff;
     Timer t;
     for (int r = 0; r < kReps; ++r) {
       if (!fx->MatVec(*v).ok()) {
@@ -110,11 +105,10 @@ int main() {
       }
     }
     double ms = t.ElapsedSeconds() * 1e3 / kReps;
+    obs::MetricsSnapshot d = diff.Delta();
     std::printf("%-12g%14.3f%14lld%14lld\n", rate, ms,
-                static_cast<long long>(Counter("fault.fed.retries") -
-                                       retries_before),
-                static_cast<long long>(Counter("fault.fed.timeouts") -
-                                       timeouts_before));
+                static_cast<long long>(d.Counter("fault.fed.retries")),
+                static_cast<long long>(d.Counter("fault.fed.timeouts")));
   }
   FaultInjector::Get().Disable();
   return 0;

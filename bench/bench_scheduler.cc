@@ -20,6 +20,7 @@
 #include "bench/bench_common.h"
 #include "common/thread_pool.h"
 #include "common/util.h"
+#include "obs/metrics.h"
 #include "runtime/matrix/lib_datagen.h"
 #include "runtime/matrix/lib_matmult.h"
 
@@ -134,6 +135,11 @@ int main(int argc, char** argv) {
   const bool assert_scaling =
       hw >= 4 && std::thread::hardware_concurrency() >= 4;
   bool failed = false;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
+  obs::Histogram* flat_imbalance =
+      reg.GetHistogram("scheduler.imbalance.bench.flat");
+  obs::Histogram* nested_imbalance =
+      reg.GetHistogram("scheduler.imbalance.bench.nested");
 
   // ------------------------------------------------------------------
   // (1) Flat kernel scaling + overhead vs the old pool. Same row-chunked
@@ -154,7 +160,7 @@ int main(int argc, char** argv) {
               (long long)m, (long long)k, (long long)n, (long long)chunks);
   std::printf("%-24s%14s\n", "pool", "seconds");
   double flat_new = MinSeconds(reps, [&] {
-    ThreadPool::Global().ParallelFor(0, m, chunks, gemm_rows, "bench.flat");
+    ThreadPool::Global().ParallelFor(0, m, chunks, gemm_rows, flat_imbalance);
   });
   std::printf("%-24s%14.5f\n", "work-stealing", flat_new);
   double flat_old;
@@ -194,7 +200,7 @@ int main(int argc, char** argv) {
           [&](int64_t wb, int64_t we) {
             for (int64_t w = wb; w < we; ++w) body(w);
           },
-          "bench.nested");
+          nested_imbalance);
     });
     // Old behaviour: the outer parfor got the workers, the inner matmult
     // collapsed to inline-serial on each of them.

@@ -10,7 +10,6 @@
 
 #include "api/systemds_context.h"
 #include "bench/bench_common.h"
-#include "common/statistics.h"
 #include "common/util.h"
 #include "obs/trace.h"
 

@@ -35,7 +35,7 @@
 #include <string>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
+#include "obs/metrics.h"
 
 int main(int argc, char** argv) {
   using namespace sysds;
@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
   std::stringstream buf;
   buf << in.rdbuf();
 
-  Statistics::Get().Reset();
   SystemDSContext::Builder builder;
   builder.WithConfig(config);
   if (!trace_path.empty()) builder.EnableTracing(trace_path);
@@ -147,7 +146,7 @@ int main(int argc, char** argv) {
   }
   std::cout << result->Output();
   if (config.statistics) {
-    std::cout << "\n" << Statistics::Get().Report();
+    std::cout << "\n" << obs::MetricsRegistry::Get().Report();
   }
   Status flush = ctx->FlushObservability();
   if (!flush.ok()) {

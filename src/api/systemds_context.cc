@@ -143,7 +143,6 @@ StatusOr<ScriptResult> RunProgram(Program* program, const DMLConfig* config,
     CheckpointManager::Options opts;
     opts.dir = config->checkpoint_dir;
     opts.interval = config->checkpoint_interval;
-    opts.cost_factor = config->checkpoint_cost_factor;
     opts.resume = config->checkpoint_resume;
     checkpoints = std::make_unique<CheckpointManager>(
         std::move(opts), ProgramIdentityHash(program->Explain()));
@@ -252,11 +251,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::Compression(bool on) {
   config_.compression_enabled = on;
   return *this;
 }
-SystemDSContext::Builder& SystemDSContext::Builder::CompressionMinRatio(
-    double ratio) {
-  config_.compression_min_ratio = ratio;
-  return *this;
-}
 SystemDSContext::Builder& SystemDSContext::Builder::CompressionMinSize(
     int64_t bytes) {
   config_.compression_min_size_bytes = bytes;
@@ -295,11 +289,6 @@ SystemDSContext::Builder& SystemDSContext::Builder::Checkpointing(
     std::string dir, int64_t interval) {
   config_.checkpoint_dir = std::move(dir);
   config_.checkpoint_interval = interval;
-  return *this;
-}
-SystemDSContext::Builder& SystemDSContext::Builder::CheckpointCostFactor(
-    double factor) {
-  config_.checkpoint_cost_factor = factor;
   return *this;
 }
 SystemDSContext::Builder& SystemDSContext::Builder::Resume(bool on) {

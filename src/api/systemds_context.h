@@ -204,8 +204,6 @@ class SystemDSContext {
     /// compress() before loops for large read-only matrices and matrix
     /// instructions dispatch to compressed kernels transparently.
     Builder& Compression(bool on = true);
-    /// Minimum estimated compression ratio before the planner compresses.
-    Builder& CompressionMinRatio(double ratio);
     /// Matrices below this in-memory size are never compressed.
     Builder& CompressionMinSize(int64_t bytes);
     /// Output representation of transformencode/transformapply
@@ -234,8 +232,6 @@ class SystemDSContext {
     /// gate). Crash-safe: every file is CRC-checksummed and committed by
     /// atomic rename.
     Builder& Checkpointing(std::string dir, int64_t interval = 1);
-    /// Adaptive-gate cost factor (lost work >= factor x write cost).
-    Builder& CheckpointCostFactor(double factor);
     /// Resume from the checkpoint directory (`dml_runner --resume`): the
     /// deterministic program prefix re-executes, then execution fast-
     /// forwards past the checkpointed iterations. The resumed run is

@@ -78,16 +78,9 @@ struct DMLConfig {
   // decompress-and-retry fallback, and the buffer pool accounts/spills
   // compressed blocks in compressed form.
   bool compression_enabled = false;
-  // The sampling-based planner only compresses when the estimated ratio
-  // (in-memory bytes / compressed bytes) reaches this gate.
-  double compression_min_ratio = 1.2;
   // Matrices below this in-memory size are never compressed (the planner
   // sample would cost more than the savings).
   int64_t compression_min_size_bytes = 64 * 1024;
-  // Rows sampled by the planner's estimators.
-  int64_t compression_sample_rows = 2048;
-  // Maximum width of a co-coded column group.
-  int64_t compression_max_group_cols = 4;
 
   // Feature-transform pipeline (runtime/frame/transform.h). Instruction
   // generation plans the encode output format per instruction: kDense is
@@ -113,9 +106,6 @@ struct DMLConfig {
   // Checkpoint every N-th completed iteration; <= 0 selects the adaptive
   // cost gate (lost-work vs estimated-write-cost).
   int64_t checkpoint_interval = 1;
-  // Adaptive gate: checkpoint when estimated lost work exceeds this factor
-  // times the estimated checkpoint write cost.
-  double checkpoint_cost_factor = 2.0;
   bool checkpoint_resume = false;
 };
 

@@ -47,6 +47,29 @@ inline uint64_t NextRand() {
   return x;
 }
 
+struct SchedulerMetrics {
+  // Injection-queue entries, summed over every live pool.
+  obs::Gauge* queue_depth;
+  obs::Gauge* active_workers;
+  obs::Counter* tasks;
+  obs::Counter* steals;
+  obs::Counter* chunks;
+  obs::Counter* helped;
+};
+
+SchedulerMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static SchedulerMetrics m = {
+      r.GetGauge("threadpool.queue_depth"),
+      r.GetGauge("threadpool.active_workers"),
+      r.GetCounter("scheduler.tasks"),
+      r.GetCounter("scheduler.steals"),
+      r.GetCounter("scheduler.chunks"),
+      r.GetCounter("scheduler.helped"),
+  };
+  return m;
+}
+
 inline int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -62,15 +85,13 @@ inline void UpdateMax(std::atomic<int64_t>* target, int64_t value) {
 }
 
 // Records the per-loop chunk imbalance — percent excess of the slowest chunk
-// over the mean chunk time — under scheduler.imbalance.<label>.
-void ObserveImbalance(const char* label, int64_t executed, int64_t sum_ns,
-                      int64_t max_ns) {
-  if (label == nullptr || executed < 2) return;
+// over the mean chunk time — in the loop's imbalance histogram.
+void ObserveImbalance(obs::Histogram* imbalance, int64_t executed,
+                      int64_t sum_ns, int64_t max_ns) {
+  if (imbalance == nullptr || executed < 2) return;
   int64_t mean = sum_ns / executed;
   if (mean <= 0) return;
-  obs::MetricsRegistry::Get()
-      .GetHistogram(std::string("scheduler.imbalance.") + label)
-      ->Observe((max_ns - mean) * 100 / mean);
+  imbalance->Observe((max_ns - mean) * 100 / mean);
 }
 
 }  // namespace
@@ -251,7 +272,7 @@ struct ThreadPool::Impl {
             Call(b, e, c);
           }
           executed.fetch_add(1, std::memory_order_relaxed);
-          impl->chunks_->Add(1);
+          Metrics().chunks->Add(1);
         }
         // acq_rel chain: the thread that observes done == num_chunks (here
         // or in the caller's acquire load) sees every chunk's writes.
@@ -292,13 +313,6 @@ struct ThreadPool::Impl {
   };
 
   explicit Impl(size_t num_threads) {
-    auto& reg = obs::MetricsRegistry::Get();
-    queue_depth_ = reg.GetGauge("threadpool.queue_depth");
-    active_workers_ = reg.GetGauge("threadpool.active_workers");
-    tasks_ = reg.GetCounter("scheduler.tasks");
-    steals_ = reg.GetCounter("scheduler.steals");
-    chunks_ = reg.GetCounter("scheduler.chunks");
-    helped_ = reg.GetCounter("scheduler.helped");
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back(new Worker());
@@ -326,7 +340,7 @@ struct ThreadPool::Impl {
       for (int64_t i = 0; i < n; ++i) inject_.push_back(job);
       inject_size_.store(static_cast<int64_t>(inject_.size()),
                          std::memory_order_release);
-      queue_depth_->Set(static_cast<int64_t>(inject_.size()));
+      Metrics().queue_depth->Add(n);
     }
     Wake(n);
   }
@@ -370,7 +384,7 @@ struct ThreadPool::Impl {
         inject_.pop_front();
         inject_size_.store(static_cast<int64_t>(inject_.size()),
                            std::memory_order_relaxed);
-        queue_depth_->Set(static_cast<int64_t>(inject_.size()));
+        Metrics().queue_depth->Add(-1);
         return job;
       }
     }
@@ -382,7 +396,7 @@ struct ThreadPool::Impl {
       if (victim >= w) victim -= w;
       if (static_cast<int>(victim) == self) continue;
       if (Job* job = workers_[victim]->deque.Steal()) {
-        steals_->Add(1);
+        Metrics().steals->Add(1);
         return job;
       }
     }
@@ -392,7 +406,7 @@ struct ThreadPool::Impl {
   bool TryRunOne() {
     Job* job = FindJob(OnThisPoolsWorker() ? t_worker_id : -1);
     if (job == nullptr) return false;
-    tasks_->Add(1);
+    Metrics().tasks->Add(1);
     job->Run();
     return true;
   }
@@ -406,10 +420,10 @@ struct ThreadPool::Impl {
     Worker& me = *workers_[id];
     for (;;) {
       if (Job* job = FindJob(id)) {
-        tasks_->Add(1);
-        active_workers_->Add(1);
+        Metrics().tasks->Add(1);
+        Metrics().active_workers->Add(1);
         job->Run();
-        active_workers_->Add(-1);
+        Metrics().active_workers->Add(-1);
         continue;
       }
       if (stop_.load(std::memory_order_acquire)) return;
@@ -450,7 +464,7 @@ struct ThreadPool::Impl {
   // parks on the join condition variable when the pool is drained. Each
   // queued entry admits at most one more thread, so publishing at most
   // max_threads - 1 entries caps the threads on this loop.
-  void RunJoin(JoinJob* job, const char* label, int max_threads) {
+  void RunJoin(JoinJob* job, obs::Histogram* imbalance, int max_threads) {
     int64_t entries = std::min<int64_t>(
         job->num_chunks - 1, static_cast<int64_t>(workers_.size()));
     if (max_threads > 0) entries = std::min<int64_t>(entries, max_threads - 1);
@@ -465,14 +479,14 @@ struct ThreadPool::Impl {
         if (job->complete) break;
       }
       if (TryRunOne()) {
-        helped_->Add(1);
+        Metrics().helped->Add(1);
         continue;
       }
       std::unique_lock<std::mutex> lk(job->m);
       job->cv.wait(lk, [&] { return job->complete; });
       break;
     }
-    ObserveImbalance(label, job->executed.load(std::memory_order_relaxed),
+    ObserveImbalance(imbalance, job->executed.load(std::memory_order_relaxed),
                      job->sum_ns.load(std::memory_order_relaxed),
                      job->max_ns.load(std::memory_order_relaxed));
     job->DecRef();
@@ -481,13 +495,14 @@ struct ThreadPool::Impl {
   // Zero-worker (or max_threads == 1) fast path: execute the identical chunk
   // decomposition serially, in chunk order, on the calling thread.
   template <typename CallFn>
-  void RunSerialChunks(const JoinJob& geom, const char* label, CallFn call) {
+  void RunSerialChunks(const JoinJob& geom, obs::Histogram* imbalance,
+                       CallFn call) {
     int64_t executed = 0, sum_ns = 0, max_ns = 0;
     for (int64_t c = 0; c < geom.num_chunks; ++c) {
       int64_t b, e;
       geom.ChunkBounds(c, &b, &e);
       if (b >= e) continue;
-      if (label != nullptr) {
+      if (imbalance != nullptr) {
         int64_t t0 = NowNs();
         call(b, e, c);
         int64_t dt = NowNs() - t0;
@@ -497,9 +512,9 @@ struct ThreadPool::Impl {
         call(b, e, c);
       }
       ++executed;
-      chunks_->Add(1);
+      Metrics().chunks->Add(1);
     }
-    ObserveImbalance(label, executed, sum_ns, max_ns);
+    ObserveImbalance(imbalance, executed, sum_ns, max_ns);
   }
 
   void DrainForShutdown() {
@@ -512,6 +527,7 @@ struct ThreadPool::Impl {
           inject_.pop_front();
           inject_size_.store(static_cast<int64_t>(inject_.size()),
                              std::memory_order_relaxed);
+          Metrics().queue_depth->Add(-1);
         }
       }
       if (job == nullptr) {
@@ -535,13 +551,6 @@ struct ThreadPool::Impl {
   std::vector<int> parked_;
 
   std::atomic<bool> stop_{false};
-
-  obs::Gauge* queue_depth_ = nullptr;
-  obs::Gauge* active_workers_ = nullptr;
-  obs::Counter* tasks_ = nullptr;
-  obs::Counter* steals_ = nullptr;
-  obs::Counter* chunks_ = nullptr;
-  obs::Counter* helped_ = nullptr;
 };
 
 ThreadPool::ThreadPool(size_t num_threads) : impl_(new Impl(num_threads)) {}
@@ -571,7 +580,7 @@ bool ThreadPool::TryRunPendingTask() { return impl_->TryRunOne(); }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
                              const std::function<void(int64_t, int64_t)>& fn,
-                             const char* label, int max_threads) {
+                             obs::Histogram* imbalance, int max_threads) {
   int64_t n = end - begin;
   if (n <= 0) return;
   num_chunks = std::max<int64_t>(1, std::min(num_chunks, n));
@@ -586,21 +595,21 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
   job->chunk_size = (n + num_chunks - 1) / num_chunks;
   job->num_chunks = num_chunks;
   job->fn = &fn;
-  job->timed = label != nullptr;
+  job->timed = imbalance != nullptr;
   if (impl_->workers_.empty() || max_threads == 1) {
-    impl_->RunSerialChunks(*job, label,
+    impl_->RunSerialChunks(*job, imbalance,
                            [&fn](int64_t b, int64_t e, int64_t) { fn(b, e); });
     delete job;
     return;
   }
-  impl_->RunJoin(job, label, max_threads);
+  impl_->RunJoin(job, imbalance, max_threads);
 }
 
 void ThreadPool::ParallelForWeighted(
     int64_t begin, int64_t end, int64_t num_chunks,
     const std::function<int64_t(int64_t)>& weight,
     const std::function<void(int64_t, int64_t, int64_t)>& fn,
-    const char* label, int max_threads) {
+    obs::Histogram* imbalance, int max_threads) {
   int64_t n = end - begin;
   if (n <= 0) return;
   num_chunks = std::max<int64_t>(1, std::min(num_chunks, n));
@@ -644,17 +653,42 @@ void ThreadPool::ParallelForWeighted(
   job->bounds = bounds.data();
   job->num_chunks = used;
   job->wfn = &fn;
-  job->timed = label != nullptr;
+  job->timed = imbalance != nullptr;
   if (impl_->workers_.empty() || max_threads == 1) {
-    impl_->RunSerialChunks(
-        *job, label, [&fn](int64_t b, int64_t e, int64_t c) { fn(b, e, c); });
+    impl_->RunSerialChunks(*job, imbalance,
+                           [&fn](int64_t b, int64_t e, int64_t c) {
+                             fn(b, e, c);
+                           });
     delete job;
     return;
   }
   // `bounds` lives on this stack frame; safe because RunJoin returns only
   // after every chunk is done, and stale queued entries never dereference
   // the geometry (their ticket fetch_add lands past num_chunks).
-  impl_->RunJoin(job, label, max_threads);
+  impl_->RunJoin(job, imbalance, max_threads);
+}
+
+const LoopImbalance& Imbalance() {
+  auto h = [](const char* loop) {
+    return obs::MetricsRegistry::Get().GetHistogram(
+        std::string("scheduler.imbalance.") + loop);
+  };
+  static const LoopImbalance m = {
+      h("agg"),
+      h("compress"),
+      h("datagen"),
+      h("elementwise"),
+      h("fused"),
+      h("io.read"),
+      h("matmult"),
+      h("matmult.reduce"),
+      h("parfor"),
+      h("reorg"),
+      h("tlmm"),
+      h("transform"),
+      h("tsmm"),
+  };
+  return m;
 }
 
 int DefaultParallelism() {

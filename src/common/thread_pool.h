@@ -9,6 +9,10 @@
 
 namespace sysds {
 
+namespace obs {
+class Histogram;
+}  // namespace obs
+
 /// Work-stealing task scheduler used by the multi-threaded kernels, the
 /// parfor backend, the distributed-executor simulator, and the scoring
 /// service. Each worker owns a lock-free Chase–Lev deque; idle workers steal
@@ -45,15 +49,17 @@ class ThreadPool {
   /// thread participates (it claims chunks starting at chunk 0), so a pool
   /// of N-1 workers executes with up to N threads. Empty chunks (possible
   /// when num_chunks does not divide the range) are skipped without calling
-  /// fn. When `label` is set and the loop actually splits, per-chunk wall
-  /// times feed the histogram `scheduler.imbalance.<label>` (percent excess
-  /// of the slowest chunk over the mean). `max_threads` caps how many
-  /// threads, the caller included, execute this loop's chunks (<= 0: the
-  /// whole pool; 1: every chunk on the caller). It never changes the chunk
-  /// geometry, and it does not bound joins that a chunk itself starts.
+  /// fn. When `imbalance` (the caller's `scheduler.imbalance.<loop>`
+  /// histogram) is set and the loop actually splits, per-chunk wall times
+  /// feed it: percent excess of the slowest chunk over the mean.
+  /// `max_threads` caps how many threads, the caller included, execute this
+  /// loop's chunks (<= 0: the whole pool; 1: every chunk on the caller). It
+  /// never changes the chunk geometry, and it does not bound joins that a
+  /// chunk itself starts.
   void ParallelFor(int64_t begin, int64_t end, int64_t num_chunks,
                    const std::function<void(int64_t, int64_t)>& fn,
-                   const char* label = nullptr, int max_threads = 0);
+                   obs::Histogram* imbalance = nullptr,
+                   int max_threads = 0);
 
   /// Cost-weighted variant for skewed inputs: splits [begin, end) into at
   /// most `num_chunks` contiguous chunks of approximately equal cumulative
@@ -65,7 +71,8 @@ class ThreadPool {
   void ParallelForWeighted(int64_t begin, int64_t end, int64_t num_chunks,
                            const std::function<int64_t(int64_t)>& weight,
                            const std::function<void(int64_t, int64_t, int64_t)>& fn,
-                           const char* label = nullptr, int max_threads = 0);
+                           obs::Histogram* imbalance = nullptr,
+                           int max_threads = 0);
 
   /// Pops or steals one pending task and runs it on the calling thread.
   /// Returns false when nothing was runnable. Blocking helpers use this to
@@ -125,6 +132,26 @@ inline int64_t PickChunksBounded(int64_t rows, int64_t bytes_per_chunk) {
   }
   return chunks;
 }
+
+/// The `scheduler.imbalance.<loop>` histograms of the library's parallel
+/// loops, resolved once; a loop passes its own as ParallelFor's
+/// `imbalance`.
+struct LoopImbalance {
+  obs::Histogram* agg;
+  obs::Histogram* compress;
+  obs::Histogram* datagen;
+  obs::Histogram* elementwise;
+  obs::Histogram* fused;
+  obs::Histogram* io_read;
+  obs::Histogram* matmult;
+  obs::Histogram* matmult_reduce;
+  obs::Histogram* parfor;
+  obs::Histogram* reorg;
+  obs::Histogram* tlmm;
+  obs::Histogram* transform;
+  obs::Histogram* tsmm;
+};
+const LoopImbalance& Imbalance();
 
 }  // namespace sysds
 

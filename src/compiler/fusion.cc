@@ -17,6 +17,20 @@ namespace sysds {
 
 namespace {
 
+struct FusionMetrics {
+  obs::Counter* regions;
+  obs::Counter* intermediates_elided;
+};
+
+FusionMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static FusionMetrics m = {
+      r.GetCounter("fusion.regions"),
+      r.GetCounter("fusion.intermediates_elided"),
+  };
+  return m;
+}
+
 // Upper bound on pipeline length; regions past this keep correctness but the
 // per-row scratch working set starts to defeat the cache locality win.
 constexpr size_t kMaxRegionSteps = 64;
@@ -185,10 +199,8 @@ class FusionPlanner {
 
     if (!EmitPlan(rows, cols, &region)) return;
 
-    obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Add(1);
-    obs::MetricsRegistry::Get()
-        .GetCounter("fusion.intermediates_elided")
-        ->Add(region.plan.IntermediatesElided());
+    Metrics().regions->Add(1);
+    Metrics().intermediates_elided->Add(region.plan.IntermediatesElided());
     for (Hop* m : region.members) absorbed_.insert(m->id());
     regions_.emplace(hop->id(), std::move(region));
   }

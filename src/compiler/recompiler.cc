@@ -1,11 +1,24 @@
 #include "compiler/recompiler.h"
 
-#include "common/statistics.h"
 #include "compiler/codegen.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/controlprog/execution_context.h"
 
 namespace sysds {
+
+namespace {
+struct RecompilerMetrics {
+  obs::Counter* recompilations;
+};
+
+RecompilerMetrics& Metrics() {
+  static RecompilerMetrics m = {
+      obs::MetricsRegistry::Get().GetCounter("compiler.recompilations"),
+  };
+  return m;
+}
+}  // namespace
 
 std::vector<Hop*> SizeKeyReads(const std::vector<HopPtr>& roots) {
   std::vector<Hop*> reads;
@@ -39,7 +52,7 @@ StatusOr<std::vector<InstructionPtr>> RecompileHops(
     const std::vector<HopPtr>& roots, const std::vector<Hop*>& reads,
     const std::vector<int64_t>& key, const DMLConfig& config) {
   SYSDS_SPAN("compiler", "recompile");
-  Statistics::Get().IncCounter("compiler.recompilations");
+  Metrics().recompilations->Add(1);
   for (size_t k = 0; k < reads.size(); ++k) {
     reads[k]->set_dims(key[3 * k], key[3 * k + 1]);
     reads[k]->set_nnz(key[3 * k + 2]);

@@ -166,7 +166,7 @@ StatusOr<MatrixBlock> ReadMatrixCsvImpl(const std::string& path,
           }
         }
       },
-      "io.read", desc.num_threads);
+      Imbalance().io_read, desc.num_threads);
   for (const Status& s : chunk_status) SYSDS_RETURN_IF_ERROR(s);
   m.MarkNnzDirty();
   m.ExamSparsity();
@@ -330,7 +330,7 @@ StatusOr<FrameBlock> ReadFrameCsvImpl(const std::string& path,
           }
         }
       },
-      "io.read", desc.num_threads);
+      Imbalance().io_read, desc.num_threads);
   for (const Status& s : chunk_status) SYSDS_RETURN_IF_ERROR(s);
   return f;
 }

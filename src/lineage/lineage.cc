@@ -16,6 +16,20 @@
 namespace sysds {
 
 namespace {
+struct LineageMetrics {
+  obs::Counter* cache_misses;
+  obs::Counter* cache_puts;
+};
+
+LineageMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static LineageMetrics m = {
+      r.GetCounter("lineage.cache_misses"),
+      r.GetCounter("lineage.cache_puts"),
+  };
+  return m;
+}
+
 uint64_t ComputeHash(const std::string& opcode, const std::string& data,
                      const std::vector<LineageItemPtr>& inputs) {
   uint64_t h = HashCombine(HashString(opcode), HashString(data));
@@ -186,23 +200,18 @@ DataPtr LineageCache::LockedLookup(uint64_t hash,
 DataPtr LineageCache::Probe(const LineageItemPtr& item) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   obs::Tracer::Instant("lineage", "cache_probe");
-  static obs::Counter* misses =
-      obs::MetricsRegistry::Get().GetCounter("lineage.cache_misses");
   // Hot miss path: the generation counter and resident-hash summary of the
   // shard prove absence without taking the shard mutex.
   if (!MayContain(item->hash())) {
-    misses->Add(1);
+    Metrics().cache_misses->Add(1);
     return nullptr;
   }
   DataPtr hit = LockedLookup(item->hash(), *item);
   if (hit == nullptr) {
-    misses->Add(1);
+    Metrics().cache_misses->Add(1);
     return nullptr;
   }
   full_hits_.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter* hits =
-      obs::MetricsRegistry::Get().GetCounter("lineage.cache_hits");
-  hits->Add(1);
   obs::Tracer::Instant("lineage", "cache_hit");
   return hit;
 }
@@ -210,9 +219,7 @@ DataPtr LineageCache::Probe(const LineageItemPtr& item) {
 void LineageCache::Put(const LineageItemPtr& item, const DataPtr& value) {
   auto* m = dynamic_cast<MatrixObject*>(value.get());
   if (m == nullptr) return;  // cache matrices only
-  static obs::Counter* puts =
-      obs::MetricsRegistry::Get().GetCounter("lineage.cache_puts");
-  puts->Add(1);
+  Metrics().cache_puts->Add(1);
   int64_t size = m->EstimateSizeInBytes();
   if (size > limit_bytes_) return;
   uint64_t hash = item->hash();

@@ -1,8 +1,11 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <mutex>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace sysds {
 namespace obs {
@@ -41,11 +44,6 @@ int64_t Histogram::ApproxQuantile(double p) const {
   return int64_t{1} << 62;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.Reset();
-}
-
 MetricsRegistry& MetricsRegistry::Get() {
   static MetricsRegistry* instance = new MetricsRegistry();
   return *instance;
@@ -67,6 +65,12 @@ T* GetOrCreate(std::shared_mutex& mutex,
   auto& slot = map[name];
   if (slot == nullptr) slot = std::make_unique<T>();
   return slot.get();
+}
+
+template <typename T>
+T Find(const std::map<std::string, T>& map, const std::string& name) {
+  auto it = map.find(name);
+  return it == map.end() ? T{} : it->second;
 }
 
 void JsonEscapeTo(const std::string& s, std::ostream& os) {
@@ -96,43 +100,79 @@ int64_t MetricsRegistry::CounterValue(const std::string& name) const {
   return it == counters_.end() ? 0 : it->second->Value();
 }
 
-void MetricsRegistry::ResetValues() {
+MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
-  for (auto& [name, s] : instructions_) {
-    s->count.Reset();
-    s->nanos.Reset();
+  MetricsSnapshot s;
+  for (const auto& [name, c] : counters_) s.counters[name] = c->Value();
+  for (const auto& [name, h] : histograms_) {
+    s.histograms[name] = {h->Count(), h->Sum()};
   }
-}
-
-std::vector<MetricsRegistry::CounterSnapshot> MetricsRegistry::Counters()
-    const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<CounterSnapshot> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) out.push_back({name, c->Value()});
-  return out;
-}
-
-std::vector<MetricsRegistry::GaugeSnapshot> MetricsRegistry::Gauges() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<GaugeSnapshot> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.push_back({name, g->Value()});
-  return out;
-}
-
-std::vector<MetricsRegistry::InstrSnapshot> MetricsRegistry::Instructions()
-    const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<InstrSnapshot> out;
-  out.reserve(instructions_.size());
-  for (const auto& [name, s] : instructions_) {
-    out.push_back({name, s->count.Value(),
-                   static_cast<double>(s->nanos.Value()) / 1e9});
+  for (const auto& [name, i] : instructions_) {
+    s.instructions[name] = {i->count.Value(), i->nanos.Value()};
   }
-  return out;
+  return s;
+}
+
+std::string MetricsRegistry::Report(int top_k) const {
+  MetricsSnapshot s = Snapshot();
+  // Opcodes a context registered but never timed are not heavy hitters.
+  std::vector<std::pair<std::string, MetricsSnapshot::Instr>> instrs;
+  for (const auto& [name, i] : s.instructions) {
+    if (i.count > 0) instrs.emplace_back(name, i);
+  }
+  std::sort(instrs.begin(), instrs.end(), [](const auto& a, const auto& b) {
+    return a.second.nanos > b.second.nanos;
+  });
+  std::ostringstream os;
+  os << "Heavy hitter instructions (count, time[s]):\n";
+  int shown = 0;
+  for (const auto& [name, i] : instrs) {
+    if (shown++ >= top_k) break;
+    os << "  " << name << "\t" << i.count << "\t"
+       << static_cast<double>(i.nanos) / 1e9 << "\n";
+  }
+  bool header = false;
+  for (const auto& [name, value] : s.counters) {
+    if (value == 0) continue;
+    if (!header) os << "Counters:\n";
+    header = true;
+    os << "  " << name << "\t" << value << "\n";
+  }
+  return os.str();
+}
+
+int64_t MetricsSnapshot::Counter(const std::string& name) const {
+  return Find(counters, name);
+}
+MetricsSnapshot::Hist MetricsSnapshot::Histogram(
+    const std::string& name) const {
+  return Find(histograms, name);
+}
+MetricsSnapshot::Instr MetricsSnapshot::Instruction(
+    const std::string& name) const {
+  return Find(instructions, name);
+}
+
+MetricsSnapshot MetricsDiff::Delta() const {
+  MetricsSnapshot now = MetricsRegistry::Get().Snapshot();
+  MetricsSnapshot d;
+  for (const auto& [name, v] : now.counters) {
+    int64_t delta = v - start_.Counter(name);
+    if (delta != 0) d.counters[name] = delta;
+  }
+  for (const auto& [name, h] : now.histograms) {
+    MetricsSnapshot::Hist before = start_.Histogram(name);
+    if (h.count != before.count) {
+      d.histograms[name] = {h.count - before.count, h.sum - before.sum};
+    }
+  }
+  for (const auto& [name, i] : now.instructions) {
+    MetricsSnapshot::Instr before = start_.Instruction(name);
+    if (i.count != before.count) {
+      d.instructions[name] = {i.count - before.count, i.nanos - before.nanos};
+    }
+  }
+  return d;
 }
 
 std::string MetricsRegistry::ExportJson() const {

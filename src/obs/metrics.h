@@ -7,7 +7,6 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
-#include <vector>
 
 namespace sysds {
 namespace obs {
@@ -30,9 +29,6 @@ class Counter {
     for (const Cell& c : cells_) sum += c.v.load(std::memory_order_relaxed);
     return sum;
   }
-  void Reset() {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
 
  private:
   struct alignas(64) Cell {
@@ -41,13 +37,14 @@ class Counter {
   Cell cells_[kMetricShards];
 };
 
-/// Point-in-time value (queue depth, cached bytes, active workers).
+/// Point-in-time value (queue depth, cached bytes, active workers). A
+/// gauge that several objects feed (one per pool or service) is updated
+/// with Add(delta) only, so it reads the sum over the live objects.
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -68,25 +65,48 @@ class Histogram {
   }
   /// Upper bound (2^i) of the bucket containing the p-quantile, p in [0,1].
   int64_t ApproxQuantile(double p) const;
-  void Reset();
 
  private:
   std::atomic<int64_t> buckets_[kBuckets] = {};
   Counter sum_;
 };
 
-/// Per-opcode instruction timing: invocation count plus accumulated
-/// nanoseconds (the substrate under Statistics::IncInstruction).
+/// Per-opcode instruction timing under `-stats`: invocation count plus
+/// accumulated nanoseconds.
 struct InstrStat {
   Counter count;
   Counter nanos;
 };
 
-/// Process-wide registry of named metrics. Lookup takes a shared (reader)
-/// lock; creation takes the exclusive lock once per name. Returned pointers
-/// are stable for the process lifetime, so hot paths resolve a metric once
-/// and then update it lock-free (see Statistics for the thread-local
-/// memoization pattern).
+/// Every counter, histogram (count and sum) and instruction stat at one
+/// moment, by name. Lookups of a name that is absent read 0.
+struct MetricsSnapshot {
+  struct Hist {
+    int64_t count = 0;
+    int64_t sum = 0;
+  };
+  struct Instr {
+    int64_t count = 0;
+    int64_t nanos = 0;
+  };
+  std::map<std::string, int64_t> counters;
+  std::map<std::string, Hist> histograms;
+  std::map<std::string, Instr> instructions;
+
+  int64_t Counter(const std::string& name) const;
+  Hist Histogram(const std::string& name) const;
+  Instr Instruction(const std::string& name) const;
+};
+
+/// Process-wide registry of named metrics. It is monotonic: metrics are
+/// never removed and counters never reset, so what one run counted is the
+/// difference of two snapshots (MetricsDiff), and no context can zero what
+/// another is measuring.
+///
+/// Lookup takes a shared (reader) lock; creation takes the exclusive lock
+/// once per name. Returned pointers are stable for the process lifetime, so
+/// each module resolves its metrics once, in a function-local static struct
+/// of pointers, and then updates them lock-free.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Get();
@@ -99,28 +119,11 @@ class MetricsRegistry {
   /// Value of a counter, 0 when it was never created (no side effects).
   int64_t CounterValue(const std::string& name) const;
 
-  /// Zeroes counters, histograms, and instruction stats; gauges describe
-  /// current state (queue depths, cached bytes) and are left alone.
-  void ResetValues();
+  MetricsSnapshot Snapshot() const;
 
-  struct CounterSnapshot {
-    std::string name;
-    int64_t value;
-  };
-  struct GaugeSnapshot {
-    std::string name;
-    int64_t value;
-  };
-  struct InstrSnapshot {
-    std::string name;
-    int64_t count;
-    double seconds;
-  };
-
-  /// Name-sorted snapshots (std::map iteration order).
-  std::vector<CounterSnapshot> Counters() const;
-  std::vector<GaugeSnapshot> Gauges() const;
-  std::vector<InstrSnapshot> Instructions() const;
+  /// The `-stats` heavy-hitter report: the top_k instructions by total time,
+  /// then every non-zero counter.
+  std::string Report(int top_k = 15) const;
 
   /// JSON export: {"counters":{...},"gauges":{...},"instructions":{...},
   /// "histograms":{...}}.
@@ -134,6 +137,23 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<InstrStat>> instructions_;
+};
+
+/// What the registry counted since this object was made: the one way tests
+/// and benches measure a run. The diff includes what other threads counted
+/// meanwhile, so it is exact for metrics only the measured run touches.
+class MetricsDiff {
+ public:
+  MetricsDiff() : start_(MetricsRegistry::Get().Snapshot()) {}
+
+  /// Now minus the start; metrics that did not change are left out.
+  MetricsSnapshot Delta() const;
+  int64_t Counter(const std::string& name) const {
+    return Delta().Counter(name);
+  }
+
+ private:
+  MetricsSnapshot start_;
 };
 
 }  // namespace obs

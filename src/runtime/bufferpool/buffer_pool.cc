@@ -17,9 +17,9 @@ namespace sysds {
 
 namespace {
 struct PoolMetrics {
+  // Summed over every live pool: each adds the change of its own bytes.
   obs::Gauge* cached_bytes;
   obs::Gauge* pinned_bytes;
-  obs::Gauge* headroom;
   obs::Counter* evictions;
   obs::Counter* free_drops;
   obs::Counter* sync_spills;
@@ -40,7 +40,6 @@ PoolMetrics& Metrics() {
   static PoolMetrics m = {
       r.GetGauge("bufferpool.cached_bytes"),
       r.GetGauge("bufferpool.pinned_bytes"),
-      r.GetGauge("bufferpool.headroom"),
       r.GetCounter("bufferpool.evictions"),
       r.GetCounter("bufferpool.free_drops"),
       r.GetCounter("bufferpool.sync_spills"),
@@ -104,6 +103,8 @@ BufferPool::~BufferPool() {
   }
   work_cv_.notify_all();
   background_.join();
+  Metrics().cached_bytes->Add(-published_cached_);
+  Metrics().pinned_bytes->Add(-published_pinned_);
   std::error_code ec;
   std::filesystem::remove_all(spill_dir_, ec);
 }
@@ -140,9 +141,6 @@ void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
   if (pinned) {
     e.pinned = true;
     pinned_bytes_ += size_bytes;
-    Metrics().pinned_bytes->Set(pinned_bytes_);
-    Metrics().headroom->Set(limit_bytes_ - pinned_bytes_ -
-                            inflight_restore_bytes_);
   }
   // Probationary A1in until the object proves re-reference.
   const int target = e.touches < 2 ? 0 : 1;
@@ -153,7 +151,7 @@ void BufferPool::Register(MatrixObject* obj, int64_t size_bytes) {
   cached_bytes_ += size_bytes;
   queue_bytes_[target] += size_bytes;
   EvictIfNeededLocked(/*caller_blocking=*/true);
-  Metrics().cached_bytes->Set(cached_bytes_);
+  PublishGaugesLocked();
 }
 
 void BufferPool::Touch(MatrixObject* obj) {
@@ -223,8 +221,18 @@ void BufferPool::Unregister(MatrixObject* obj) {
   }
   RemoveEntryLocked(e);
   entries_.erase(it);
-  Metrics().cached_bytes->Set(cached_bytes_);
-  Metrics().pinned_bytes->Set(pinned_bytes_);
+  PublishGaugesLocked();
+}
+
+void BufferPool::PublishGaugesLocked() {
+  if (cached_bytes_ != published_cached_) {
+    Metrics().cached_bytes->Add(cached_bytes_ - published_cached_);
+    published_cached_ = cached_bytes_;
+  }
+  if (pinned_bytes_ != published_pinned_) {
+    Metrics().pinned_bytes->Add(pinned_bytes_ - published_pinned_);
+    published_pinned_ = pinned_bytes_;
+  }
 }
 
 void BufferPool::RemoveEntryLocked(Entry* e) {
@@ -248,9 +256,7 @@ void BufferPool::NotePinned(MatrixObject* obj, bool pinned) {
   if (e.pinned == pinned) return;
   e.pinned = pinned;
   pinned_bytes_ += pinned ? e.size : -e.size;
-  Metrics().pinned_bytes->Set(pinned_bytes_);
-  Metrics().headroom->Set(limit_bytes_ - pinned_bytes_ -
-                          inflight_restore_bytes_);
+  PublishGaugesLocked();
 }
 
 void BufferPool::Prefetch(MatrixObject* obj) {
@@ -305,7 +311,7 @@ void BufferPool::Drain() {
     return task_queue_.empty() && inflight_tasks_ == 0;
   });
   EvictIfNeededLocked(/*caller_blocking=*/false);
-  Metrics().cached_bytes->Set(cached_bytes_);
+  PublishGaugesLocked();
 }
 
 int64_t BufferPool::CachedBytes() const {
@@ -332,7 +338,7 @@ void BufferPool::SetLimit(int64_t limit_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
   limit_bytes_ = limit_bytes;
   EvictIfNeededLocked(/*caller_blocking=*/true);
-  Metrics().cached_bytes->Set(cached_bytes_);
+  PublishGaugesLocked();
 }
 
 MatrixObject* BufferPool::PickVictimLocked(
@@ -449,7 +455,7 @@ void BufferPool::EvictIfNeededLocked(bool caller_blocking) {
   if (caller_blocking) {
     Metrics().evict_stall_ns->Observe(NowNanos() - t0);
   }
-  Metrics().cached_bytes->Set(cached_bytes_);
+  PublishGaugesLocked();
 }
 
 void BufferPool::EnqueueLocked(Task task, Entry* e) {
@@ -488,7 +494,7 @@ void BufferPool::BackgroundLoop() {
     if (cached_bytes_ > limit_bytes_) {
       EvictIfNeededLocked(/*caller_blocking=*/false);
     }
-    Metrics().cached_bytes->Set(cached_bytes_);
+    PublishGaugesLocked();
   }
 }
 

@@ -184,6 +184,9 @@ class BufferPool {
   MatrixObject* PickVictimLocked(
       const std::unordered_set<MatrixObject*>& skip, bool protect_am);
   void RemoveEntryLocked(Entry* e);
+  // Adds the change of cached/pinned bytes since the last call to the
+  // process-wide gauges, which sum over every live pool.
+  void PublishGaugesLocked();
   // Drops queued (not yet started) tasks referencing `obj` and resets the
   // matching entry flags. `e` may be null when the object has no entry.
   void PurgeTasksLocked(MatrixObject* obj, Entry* e);
@@ -200,6 +203,9 @@ class BufferPool {
   int64_t limit_bytes_;
   int64_t cached_bytes_ = 0;
   int64_t pinned_bytes_ = 0;
+  // This pool's share of the bufferpool.{cached,pinned}_bytes gauges.
+  int64_t published_cached_ = 0;
+  int64_t published_pinned_ = 0;
   int64_t inflight_restore_bytes_ = 0;
   int64_t evictions_ = 0;
   bool stopping_ = false;

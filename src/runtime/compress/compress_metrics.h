@@ -6,65 +6,42 @@
 namespace sysds {
 namespace compress_metrics {
 
-// compress.* observability shared by the compress instruction, the
-// transparent instruction dispatch, and the buffer-pool integration.
+// compress.* observability shared by the compress instruction and the
+// compressed-kernel dispatch of the matrix instructions.
+struct Metrics {
+  obs::Counter* planner_invocations;
+  // compress() produced a compressed block.
+  obs::Counter* compressed_blocks;
+  // Planner decided compression does not pay off (min-ratio gate).
+  obs::Counter* skipped_not_worthwhile;
+  // Input below compression_min_size_bytes.
+  obs::Counter* skipped_small;
+  // Buffer-pool pressure overrode the static size gate: the input would be
+  // skipped as small, but headroom is low enough that shrinking it beats
+  // spilling it.
+  obs::Counter* pressure_compressions;
+  // An instruction executed a compressed kernel directly.
+  obs::Counter* dispatch_hits;
+  // A compressed kernel was unsupported; the instruction decompressed and
+  // retried on the uncompressed path.
+  obs::Counter* dispatch_fallbacks;
+  // Achieved compression ratios, x100 (a ratio of 8.5 observes 850).
+  obs::Histogram* ratio_x100;
+};
 
-inline obs::Counter* PlannerInvocations() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "compress.planner_invocations");
-  return c;
-}
-
-/// compress() produced a compressed block.
-inline obs::Counter* CompressedBlocks() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("compress.compressed_blocks");
-  return c;
-}
-
-/// Planner decided compression does not pay off (min-ratio gate).
-inline obs::Counter* SkippedNotWorthwhile() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "compress.skipped_not_worthwhile");
-  return c;
-}
-
-/// Input below compression_min_size_bytes.
-inline obs::Counter* SkippedSmall() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("compress.skipped_small");
-  return c;
-}
-
-/// Buffer-pool pressure overrode the static size gate: the input would be
-/// skipped as small, but headroom is low enough that shrinking it beats
-/// spilling it.
-inline obs::Counter* PressureCompressions() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "compress.pressure_compressions");
-  return c;
-}
-
-/// An instruction executed a compressed kernel directly.
-inline obs::Counter* DispatchHits() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("compress.dispatch_hits");
-  return c;
-}
-
-/// A compressed kernel was unsupported; the instruction decompressed and
-/// retried on the uncompressed path.
-inline obs::Counter* DispatchFallbacks() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("compress.dispatch_fallbacks");
-  return c;
-}
-
-/// Achieved compression ratios, x100 (a ratio of 8.5 observes 850).
-inline obs::Histogram* RatioX100() {
-  static obs::Histogram* h =
-      obs::MetricsRegistry::Get().GetHistogram("compress.ratio_x100");
-  return h;
+inline Metrics& Get() {
+  auto& r = obs::MetricsRegistry::Get();
+  static Metrics m = {
+      r.GetCounter("compress.planner_invocations"),
+      r.GetCounter("compress.compressed_blocks"),
+      r.GetCounter("compress.skipped_not_worthwhile"),
+      r.GetCounter("compress.skipped_small"),
+      r.GetCounter("compress.pressure_compressions"),
+      r.GetCounter("compress.dispatch_hits"),
+      r.GetCounter("compress.dispatch_fallbacks"),
+      r.GetHistogram("compress.ratio_x100"),
+  };
+  return m;
 }
 
 }  // namespace compress_metrics

@@ -415,7 +415,7 @@ CompressedMatrixBlock CompressedMatrixBlock::Compress(
                            &group_nnz[static_cast<size_t>(gi)]);
           }
         },
-        "compress", num_threads);
+        Imbalance().compress, num_threads);
   }
   out.nnz_ = 0;
   for (int64_t n : group_nnz) out.nnz_ += n;
@@ -488,7 +488,7 @@ MatrixBlock CompressedMatrixBlock::Decompress(int num_threads) const {
           }
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   out.ExamSparsity(nnz_);
   return out;
 }
@@ -552,7 +552,7 @@ double CompressedMatrixBlock::Sum(int num_threads) const {
           partials[static_cast<size_t>(gi)] = sum;
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   double total = 0.0;
   for (double p : partials) total += p;
   return total;
@@ -824,7 +824,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::RightMatMult(
           }
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   out.MarkNnzDirty();
   out.ExamSparsity();
   return out;
@@ -896,7 +896,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::LeftMatMult(
           }
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   // Merge chunk partials in chunk order (deterministic for a fixed thread
   // count), then contract the coded buckets with the dictionaries.
   for (size_t gi = 0; gi < ngroups; ++gi) {
@@ -999,7 +999,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
           }
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   // Integer merge — exact regardless of chunk count, so the whole tsmm is
   // deterministic independent of threading.
   std::vector<std::vector<int64_t>> counts(pairs.size());
@@ -1067,7 +1067,7 @@ StatusOr<MatrixBlock> CompressedMatrixBlock::TsmmLeft(int num_threads) const {
           }
         }
       },
-      "compress", num_threads);
+      Imbalance().compress, num_threads);
   // Mirror the computed upper triangle into the lower one.
   double* pc = out.DenseData();
   for (int64_t i = 0; i < cols_; ++i) {

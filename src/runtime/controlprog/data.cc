@@ -15,55 +15,38 @@
 namespace sysds {
 
 namespace {
-// Acquire-path hit/miss accounting: a miss means the block was evicted and
-// had to be restored from its spill file.
-obs::Counter* PoolHits() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("bufferpool.hits");
-  return c;
-}
-obs::Counter* PoolMisses() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("bufferpool.misses");
-  return c;
-}
 std::atomic<int64_t> g_next_object_id{1};
 
-obs::Counter* RestoreRetries() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "fault.bufferpool.restore_retries");
-  return c;
-}
-obs::Counter* RestoreFailures() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "fault.bufferpool.restore_failures");
-  return c;
-}
+struct DataMetrics {
+  // Acquire-path hit/miss accounting: a miss means the block was evicted
+  // and had to be restored from its spill file.
+  obs::Counter* pool_hits;
+  obs::Counter* pool_misses;
+  // An acquire found the payload resident because a prefetch restored it
+  // ahead of demand (the prefetcher's success metric).
+  obs::Counter* prefetch_hits;
+  obs::Counter* prefetch_failures;
+  obs::Counter* restore_retries;
+  obs::Counter* restore_failures;
+  // A kernel without a compressed implementation forced an on-demand
+  // decompression of a compressed object.
+  obs::Counter* decompress_fallbacks;
+  obs::Histogram* restore_ns;
+};
 
-// A kernel without a compressed implementation forced an on-demand
-// decompression of a compressed object.
-obs::Counter* DecompressFallbacks() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "compress.decompress_fallbacks");
-  return c;
-}
-
-// An acquire found the payload resident because a prefetch restored it
-// ahead of demand (the prefetcher's success metric).
-obs::Counter* PrefetchHits() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("bufferpool.prefetch_hits");
-  return c;
-}
-obs::Counter* PrefetchFailures() {
-  static obs::Counter* c = obs::MetricsRegistry::Get().GetCounter(
-      "fault.bufferpool.prefetch_failures");
-  return c;
-}
-obs::Histogram* RestoreNs() {
-  static obs::Histogram* h =
-      obs::MetricsRegistry::Get().GetHistogram("bufferpool.restore_ns");
-  return h;
+DataMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static DataMetrics m = {
+      r.GetCounter("bufferpool.hits"),
+      r.GetCounter("bufferpool.misses"),
+      r.GetCounter("bufferpool.prefetch_hits"),
+      r.GetCounter("fault.bufferpool.prefetch_failures"),
+      r.GetCounter("fault.bufferpool.restore_retries"),
+      r.GetCounter("fault.bufferpool.restore_failures"),
+      r.GetCounter("compress.decompress_fallbacks"),
+      r.GetHistogram("bufferpool.restore_ns"),
+  };
+  return m;
 }
 
 int64_t NowNanos() {
@@ -208,7 +191,7 @@ StatusOr<const T*> MatrixObject::Acquire(Select select) {
         // of substituting data the script would silently compute with.
         // The spill file is kept, so a later acquire can retry.
         --pin_count_;
-        PoolMisses()->Add(1);
+        Metrics().pool_misses->Add(1);
         return s;
       }
       // A prefetch that finished while this acquire waited for it served
@@ -218,7 +201,7 @@ StatusOr<const T*> MatrixObject::Acquire(Select select) {
     StatusOr<const T*> selected = select(restored);
     if (!selected.ok()) {
       --pin_count_;
-      PoolMisses()->Add(1);
+      Metrics().pool_misses->Add(1);
       return selected.status();
     }
     prefetch_hit = !restored && prefetched_;
@@ -228,11 +211,11 @@ StatusOr<const T*> MatrixObject::Acquire(Select select) {
     pool = pool_.get();
   }
   if (restored) {
-    PoolMisses()->Add(1);
+    Metrics().pool_misses->Add(1);
   } else {
-    PoolHits()->Add(1);
+    Metrics().pool_hits->Add(1);
   }
-  if (prefetch_hit) PrefetchHits()->Add(1);
+  if (prefetch_hit) Metrics().prefetch_hits->Add(1);
   if (pool != nullptr) {
     if (restored) pool->Register(this, size);
     pool->Touch(this);
@@ -249,7 +232,7 @@ StatusOr<const MatrixBlock*> MatrixObject::AcquireRead() {
       // spills it, not the decompressed copy.
       SYSDS_SPAN("compress", "decompress_on_read");
       block_ = std::make_shared<MatrixBlock>(compressed_->Decompress());
-      DecompressFallbacks()->Add(1);
+      Metrics().decompress_fallbacks->Add(1);
       restored = true;
     }
     return block_.get();
@@ -358,7 +341,7 @@ void MatrixObject::PrefetchRestore() {
   } else {
     // Silent by design: the next demand acquire retries the read and
     // surfaces the error with full context.
-    PrefetchFailures()->Add(1);
+    Metrics().prefetch_failures->Add(1);
   }
 }
 
@@ -380,7 +363,7 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
   std::shared_ptr<MatrixBlock> new_block;
   std::shared_ptr<const CompressedMatrixBlock> new_compressed;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    if (attempt > 0) RestoreRetries()->Add(1);
+    if (attempt > 0) Metrics().restore_retries->Add(1);
     if (FaultInjector::Get().ShouldInject(FaultLayer::kBufferPool, 0,
                                           FaultKind::kSpillIoError)) {
       last = IoError("bufferpool: injected evict-read error (" + path + ")");
@@ -412,7 +395,7 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
     }
     break;
   }
-  RestoreNs()->Observe(NowNanos() - t0);
+  Metrics().restore_ns->Observe(NowNanos() - t0);
 
   lock.lock();
   restoring_ = false;
@@ -420,7 +403,7 @@ Status MatrixObject::EnsureRestoredLocked(std::unique_lock<std::mutex>& lock) {
   if (new_block == nullptr && new_compressed == nullptr) {
     // Keep the spill file: the data still exists on disk, so the failure
     // is retryable on the next acquire instead of a permanent loss.
-    RestoreFailures()->Add(1);
+    Metrics().restore_failures->Add(1);
     return last;
   }
   // Keep the spill file on success too — blocks are immutable, so the

@@ -37,23 +37,20 @@ Status CompressInstr::Execute(ExecutionContext* ec) {
     BufferPool* pool = ec->Pool();
     bool pressured = pool != nullptr && pool->UnderPressure(4 * size);
     if (!pressured) {
-      compress_metrics::SkippedSmall()->Add(1);
+      compress_metrics::Get().skipped_small->Add(1);
       return pass_through();
     }
-    compress_metrics::PressureCompressions()->Add(1);
+    compress_metrics::Get().pressure_compressions->Add(1);
   }
 
   SYSDS_SPAN("compress", "compress_instr");
   SYSDS_ACQUIRE_READ(x, m);
   CompressionSettings settings;
-  settings.sample_rows = cfg.compression_sample_rows;
-  settings.min_ratio = cfg.compression_min_ratio;
-  settings.max_group_cols = cfg.compression_max_group_cols;
-  compress_metrics::PlannerInvocations()->Add(1);
+  compress_metrics::Get().planner_invocations->Add(1);
   CompressionPlan plan = CompressionPlanner::Plan(x, settings);
   if (!plan.worthwhile) {
     m->Release();
-    compress_metrics::SkippedNotWorthwhile()->Add(1);
+    compress_metrics::Get().skipped_not_worthwhile->Add(1);
     return pass_through();
   }
   CompressedMatrixBlock compressed =
@@ -65,12 +62,12 @@ Status CompressInstr::Execute(ExecutionContext* ec) {
                     std::max<int64_t>(1, compressed.EstimateSizeInBytes());
   m->Release();
   if (compressed.NumCompressedColumns() == 0 ||
-      achieved < cfg.compression_min_ratio) {
-    compress_metrics::SkippedNotWorthwhile()->Add(1);
+      achieved < settings.min_ratio) {
+    compress_metrics::Get().skipped_not_worthwhile->Add(1);
     return pass_through();
   }
-  compress_metrics::CompressedBlocks()->Add(1);
-  compress_metrics::RatioX100()->Observe(
+  compress_metrics::Get().compressed_blocks->Add(1);
+  compress_metrics::Get().ratio_x100->Observe(
       static_cast<int64_t>(achieved * 100.0));
   ec->SetOutput(outputs()[0],
                 std::make_shared<MatrixObject>(std::move(compressed)));

@@ -223,7 +223,7 @@ Status AggUnaryInstr::Execute(ExecutionContext* ec) {
         auto r = (*comp)->Aggregate(agg);
         m->Release();
         if (r.ok()) {
-          compress_metrics::DispatchHits()->Add(1);
+          compress_metrics::Get().dispatch_hits->Add(1);
           if (agg == AggOpCode::kNnz) {
             ec->SetOutput(outputs()[0],
                           ScalarObject::MakeInt(static_cast<int64_t>(*r)));
@@ -239,7 +239,7 @@ Status AggUnaryInstr::Execute(ExecutionContext* ec) {
         auto r = (*comp)->AggregateCols(agg);
         m->Release();
         if (r.ok()) {
-          compress_metrics::DispatchHits()->Add(1);
+          compress_metrics::Get().dispatch_hits->Add(1);
           ec->SetOutput(outputs()[0],
                         std::make_shared<MatrixObject>(std::move(*r)));
           return Status::Ok();
@@ -248,7 +248,7 @@ Status AggUnaryInstr::Execute(ExecutionContext* ec) {
           return r.status();
         }
       }
-      compress_metrics::DispatchFallbacks()->Add(1);
+      compress_metrics::Get().dispatch_fallbacks->Add(1);
     }
   }
   SYSDS_ACQUIRE_READ(a, m);

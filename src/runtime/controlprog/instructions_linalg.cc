@@ -26,7 +26,7 @@ Status MatMultInstr::Execute(ExecutionContext* ec) {
       m1->Release();
       m2->Release();
       if (!result.ok()) return result.status();
-      compress_metrics::DispatchHits()->Add(1);
+      compress_metrics::Get().dispatch_hits->Add(1);
       ec->SetOutput(outputs()[0],
                     std::make_shared<MatrixObject>(std::move(*result)));
       return Status::Ok();
@@ -55,7 +55,7 @@ Status TsmmInstr::Execute(ExecutionContext* ec) {
       auto result = (*comp)->TsmmLeft(ec->NumThreads());
       m->Release();
       if (result.ok()) {
-        compress_metrics::DispatchHits()->Add(1);
+        compress_metrics::Get().dispatch_hits->Add(1);
         ec->SetOutput(outputs()[0],
                       std::make_shared<MatrixObject>(std::move(*result)));
         return Status::Ok();
@@ -63,7 +63,7 @@ Status TsmmInstr::Execute(ExecutionContext* ec) {
       if (result.status().code() != StatusCode::kUnimplemented) {
         return result.status();
       }
-      compress_metrics::DispatchFallbacks()->Add(1);
+      compress_metrics::Get().dispatch_fallbacks->Add(1);
     }
   }
   SYSDS_ACQUIRE_READ(x, m);
@@ -88,7 +88,7 @@ Status TmmInstr::Execute(ExecutionContext* ec) {
       m1->Release();
       m2->Release();
       if (!result.ok()) return result.status();
-      compress_metrics::DispatchHits()->Add(1);
+      compress_metrics::Get().dispatch_hits->Add(1);
       ec->SetOutput(outputs()[0],
                     std::make_shared<MatrixObject>(std::move(*result)));
       return Status::Ok();

@@ -91,14 +91,12 @@ bool ParamBuiltinInstr::IsReusable() const {
 namespace {
 
 // Encode options for transformencode/transformapply: the compiler-planned
-// output format, the context's thread budget, and the compression planner's
-// min-ratio gate for kAuto pricing.
+// output format and the context's thread budget.
 EncodeOptions TransformEncodeOptions(ExecutionContext* ec,
                                      TransformOutputFormat planned) {
   EncodeOptions opts;
   opts.output = planned;
   opts.num_threads = ec->NumThreads();
-  opts.min_ratio = ec->Config().compression_min_ratio;
   return opts;
 }
 

@@ -5,12 +5,13 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
-#include "common/statistics.h"
 #include "common/thread_pool.h"
 #include "common/util.h"
 #include "compiler/recompiler.h"
 #include "lineage/lineage.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/bufferpool/buffer_pool.h"
 #include "runtime/recovery/checkpoint_manager.h"
@@ -18,6 +19,31 @@
 namespace sysds {
 
 namespace {
+
+struct ProgramMetrics {
+  obs::Counter* reuse_hits;
+  obs::Counter* dedup_paths;
+  obs::Counter* parfor_executions;
+};
+
+ProgramMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static ProgramMetrics m = {
+      r.GetCounter("lineage.reuse_hits"),
+      r.GetCounter("lineage.dedup_paths"),
+      r.GetCounter("parfor.executions"),
+  };
+  return m;
+}
+
+// `-stats` per-opcode timing. Each thread memoizes the registry's stable
+// pointers, so a timed instruction takes no registry lock.
+obs::InstrStat* OpcodeStat(const std::string& opcode) {
+  thread_local std::unordered_map<std::string, obs::InstrStat*> memo;
+  obs::InstrStat*& stat = memo[opcode];
+  if (stat == nullptr) stat = obs::MetricsRegistry::Get().GetInstrStat(opcode);
+  return stat;
+}
 
 // Hint-driven prefetch (paper §2.3(3)): at loop entry and each iteration
 // boundary, ask the buffer pool to restore the loop's spilled matrix
@@ -115,7 +141,7 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
       }
       if (hit != nullptr) {
         ec->SetOutput(instr->outputs()[0], hit);
-        Statistics::Get().IncCounter("lineage.reuse_hits");
+        Metrics().reuse_hits->Add(1);
         obs::Tracer::Instant("lineage", "reuse_hit");
         served = true;
       }
@@ -157,8 +183,9 @@ Status ExecuteInstructions(const std::vector<InstructionPtr>& instructions,
     }
 
     if (stats) {
-      Statistics::Get().IncInstruction(instr->opcode(),
-                                       timer->ElapsedSeconds());
+      obs::InstrStat* stat = OpcodeStat(instr->opcode());
+      stat->count.Add(1);
+      stat->nanos.Add(static_cast<int64_t>(timer->ElapsedSeconds() * 1e9));
     }
   }
   return Status::Ok();
@@ -261,7 +288,7 @@ class LoopLineageDedup {
     if (pit == path_ids_.end()) {
       path = next_path_++;
       path_ids_[signature] = path;
-      Statistics::Get().IncCounter("lineage.dedup_paths");
+      Metrics().dedup_paths->Add(1);
     } else {
       path = pit->second;
     }
@@ -425,7 +452,7 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
   }
   int64_t k = std::min<int64_t>(ec->NumThreads(),
                                 static_cast<int64_t>(iterations.size()));
-  Statistics::Get().IncCounter("parfor.executions");
+  Metrics().parfor_executions->Add(1);
   PrefetchLoopOperands(ec, liveness_);
 
   // Snapshot originals of result variables for compare-and-merge.
@@ -468,7 +495,7 @@ Status ParForBlock::Execute(ExecutionContext* ec) {
       }
     }
   },
-  "parfor");
+  Imbalance().parfor);
   for (const Status& s : statuses) SYSDS_RETURN_IF_ERROR(s);
 
   // Result merge: matrices via compare-and-merge against the original

@@ -4,8 +4,8 @@
 #include <mutex>
 #include <vector>
 
-#include "common/statistics.h"
 #include "common/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/dist/task_runner.h"
 #include "runtime/matrix/lib_elementwise.h"
@@ -14,12 +14,31 @@
 
 namespace sysds {
 
+namespace {
+// Simulated-cluster data movement (spark.*).
+struct SparkMetrics {
+  obs::Counter* reblocks;
+  obs::Counter* blocks_written;
+  obs::Counter* shuffled_blocks;
+};
+
+SparkMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static SparkMetrics m = {
+      r.GetCounter("spark.reblocks"),
+      r.GetCounter("spark.blocks_written"),
+      r.GetCounter("spark.shuffled_blocks"),
+  };
+  return m;
+}
+}  // namespace
+
 BlockedMatrix BlockedMatrix::FromMatrix(const MatrixBlock& m,
                                         int64_t block_size) {
   SYSDS_SPAN("dist", "reblock");
   BlockedMatrix out;
   out.SetShape(m.Rows(), m.Cols(), block_size);
-  Statistics::Get().IncCounter("spark.reblocks");
+  Metrics().reblocks->Add(1);
   for (int64_t bi = 0; bi < out.RowBlocks(); ++bi) {
     for (int64_t bj = 0; bj < out.ColBlocks(); ++bj) {
       int64_t rb = bi * block_size;
@@ -44,8 +63,7 @@ BlockedMatrix BlockedMatrix::FromMatrix(const MatrixBlock& m,
       }
     }
   }
-  Statistics::Get().IncCounter("spark.blocks_written",
-                               static_cast<int64_t>(out.blocks_.size()));
+  Metrics().blocks_written->Add(static_cast<int64_t>(out.blocks_.size()));
   return out;
 }
 
@@ -82,7 +100,7 @@ StatusOr<BlockedMatrix> DistMatMult(const BlockedMatrix& a,
   int64_t rb = a.RowBlocks(), cb = b.ColBlocks(), kb = a.ColBlocks();
   // Replicated join on the shared dimension: every (i,k)x(k,j) pair is one
   // shuffled block pair in a real cluster.
-  Statistics::Get().IncCounter("spark.shuffled_blocks", rb * cb * kb);
+  Metrics().shuffled_blocks->Add(rb * cb * kb);
   // Each output block is one retryable task; results commit into per-task
   // slots so re-executed or speculative attempts cannot reorder anything.
   std::vector<std::pair<BlockedMatrix::Key, MatrixBlock>> results(
@@ -128,8 +146,7 @@ StatusOr<BlockedMatrix> DistTsmmLeft(const BlockedMatrix& x) {
   // tree-aggregate of partials (one pass here).
   SYSDS_SPAN("dist", "tsmm");
   int64_t n = x.Cols();
-  Statistics::Get().IncCounter("spark.shuffled_blocks",
-                               static_cast<int64_t>(x.Blocks().size()));
+  Metrics().shuffled_blocks->Add(static_cast<int64_t>(x.Blocks().size()));
   // One retryable task per row-block stripe; partials commit into stripe
   // slots and the tree-aggregate runs serially in stripe order afterwards,
   // keeping the result bit-identical under re-execution and speculation.

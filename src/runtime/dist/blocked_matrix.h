@@ -55,8 +55,8 @@ class BlockedMatrix {
 };
 
 /// Distributed kernels over blocked matrices, executed by the shared
-/// executor pool. Shuffle/compute volumes are recorded in Statistics
-/// ("spark.*" counters) so benchmarks can report data movement.
+/// executor pool. Shuffle/compute volumes are recorded in the metrics
+/// registry ("spark.*" counters) so benchmarks can report data movement.
 StatusOr<BlockedMatrix> DistMatMult(const BlockedMatrix& a,
                                     const BlockedMatrix& b);
 StatusOr<BlockedMatrix> DistTsmmLeft(const BlockedMatrix& x);

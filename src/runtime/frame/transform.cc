@@ -11,12 +11,43 @@
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "common/util.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/frame/transform_metrics.h"
 
 namespace sysds {
 
 namespace {
+
+// transform.* observability of the encoder's fit, apply and decode.
+struct TransformMetrics {
+  obs::Counter* fit_calls;
+  obs::Counter* apply_calls;
+  obs::Counter* decode_calls;
+  // Rows encoded by Apply (dense and compressed sinks alike).
+  obs::Counter* rows_encoded;
+  // Apply emitted a CompressedMatrixBlock directly (no dense intermediate).
+  obs::Counter* direct_compressed_outputs;
+  // Apply emitted a dense/sparse MatrixBlock (kDense, or kAuto under the
+  // min-ratio gate).
+  obs::Counter* dense_outputs;
+  // Byte-pricing ratio (dense bytes / compressed bytes) of direct-compressed
+  // outputs, x100 (a ratio of 8.5 observes 850).
+  obs::Histogram* output_ratio_x100;
+};
+
+TransformMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static TransformMetrics m = {
+      r.GetCounter("transform.fit_calls"),
+      r.GetCounter("transform.apply_calls"),
+      r.GetCounter("transform.decode_calls"),
+      r.GetCounter("transform.rows_encoded"),
+      r.GetCounter("transform.direct_compressed_outputs"),
+      r.GetCounter("transform.dense_outputs"),
+      r.GetHistogram("transform.output_ratio_x100"),
+  };
+  return m;
+}
 
 // Resolves a JSON column reference (name string or 1-based number) to a
 // 0-based index.
@@ -55,7 +86,7 @@ void RunChunks(int64_t num_chunks, int num_threads,
       [&](int64_t b, int64_t e) {
         for (int64_t i = b; i < e; ++i) fn(i);
       },
-      "transform", num_threads);
+      Imbalance().transform, num_threads);
 }
 
 }  // namespace
@@ -177,7 +208,7 @@ int64_t MultiColumnEncoder::NumOutputCols() const {
 StatusOr<MultiColumnEncoder> MultiColumnEncoder::Fit(
     const FrameBlock& frame, const TransformSpec& spec, int num_threads) {
   SYSDS_SPAN("transform", "fit");
-  transform_metrics::FitCalls()->Add();
+  Metrics().fit_calls->Add();
 
   MultiColumnEncoder enc;
   enc.num_input_cols_ = frame.Cols();
@@ -500,8 +531,8 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
   if (frame.Cols() != num_input_cols_) {
     return InvalidArgument("transformapply: column count mismatch");
   }
-  transform_metrics::ApplyCalls()->Add();
-  transform_metrics::RowsEncoded()->Add(frame.Rows());
+  Metrics().apply_calls->Add();
+  Metrics().rows_encoded->Add(frame.Rows());
   const int64_t rows = frame.Rows();
   const int64_t out_cols = NumOutputCols();
 
@@ -534,7 +565,7 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
     if (compressed_bytes > 0.0 &&
         dense_bytes / compressed_bytes >= options.min_ratio) {
       emit_compressed = true;
-      transform_metrics::OutputRatioX100()->Observe(
+      Metrics().output_ratio_x100->Observe(
           static_cast<int64_t>(100.0 * dense_bytes / compressed_bytes));
     }
   }
@@ -542,7 +573,7 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
   if (emit_compressed) {
     SYSDS_ASSIGN_OR_RETURN(CompressedMatrixBlock c,
                            ApplyCompressed(frame, options.num_threads));
-    transform_metrics::DirectCompressedOutputs()->Add();
+    Metrics().direct_compressed_outputs->Add();
     return EncodedOutput::FromCompressed(std::move(c));
   }
 
@@ -571,10 +602,10 @@ StatusOr<EncodedOutput> MultiColumnEncoder::Apply(
           }
         }
       },
-      "transform", options.num_threads);
+      Imbalance().transform, options.num_threads);
   m.MarkNnzDirty();
   m.ExamSparsity();
-  transform_metrics::DenseOutputs()->Add();
+  Metrics().dense_outputs->Add();
   return EncodedOutput::FromDense(std::move(m));
 }
 
@@ -640,7 +671,7 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
                                   static_cast<int64_t>(code) - code_shift);
                         });
           },
-          "transform", num_threads);
+          Imbalance().transform, num_threads);
       SYSDS_ASSIGN_OR_RETURN(
           ColGroup g, BuildDdcGroupFromCodes(std::move(gcols),
                                              std::move(dict), codes.data(),
@@ -672,7 +703,7 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
                           });
             }
           },
-          "transform", num_threads);
+          Imbalance().transform, num_threads);
       groups.push_back(BuildUncompressedGroup(std::move(gcols),
                                               std::move(values), rows,
                                               &nnz));
@@ -680,13 +711,6 @@ StatusOr<CompressedMatrixBlock> MultiColumnEncoder::ApplyCompressed(
   }
   return CompressedMatrixBlock::FromParts(rows, NumOutputCols(), nnz,
                                           std::move(groups));
-}
-
-StatusOr<MatrixBlock> MultiColumnEncoder::Apply(
-    const FrameBlock& frame) const {
-  EncodeOptions options;
-  SYSDS_ASSIGN_OR_RETURN(EncodedOutput out, Apply(frame, options));
-  return std::move(out.Dense());
 }
 
 StatusOr<MatrixBlock> MultiColumnEncoder::ApplyReferenceSerial(
@@ -835,7 +859,7 @@ StatusOr<FrameBlock> MultiColumnEncoder::Decode(const MatrixBlock& m,
   if (m.Cols() != NumOutputCols()) {
     return InvalidArgument("transformdecode: column count mismatch");
   }
-  transform_metrics::DecodeCalls()->Add();
+  Metrics().decode_calls->Add();
   FrameBlock out(m.Rows(), like.Schema(), like.ColumnNames());
   const int64_t chunks = PickChunks(m.Rows());
   ThreadPool::Global().ParallelFor(
@@ -870,7 +894,7 @@ StatusOr<FrameBlock> MultiColumnEncoder::Decode(const MatrixBlock& m,
           }
         }
       },
-      "transform", num_threads);
+      Imbalance().transform, num_threads);
   return out;
 }
 

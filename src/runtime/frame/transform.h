@@ -111,10 +111,6 @@ class MultiColumnEncoder {
   StatusOr<EncodedOutput> Apply(const FrameBlock& frame,
                                 const EncodeOptions& options) const;
 
-  /// DEPRECATED: dense-only shim over Apply(frame, {kDense}); kept one
-  /// release for callers of the pre-parallel API.
-  StatusOr<MatrixBlock> Apply(const FrameBlock& frame) const;
-
   /// Reference single-threaded encode: the pre-parallel implementation,
   /// cell at a time through the generic frame accessors. Kept as the
   /// differential baseline — Apply must be bit-identical to this at every

@@ -139,7 +139,7 @@ StatusOr<MatrixBlock> AggregateRowCol(AggOpCode op, AggDirection dir,
             c.DenseData()[r] = Finalize(op, stats);
           }
         },
-        "agg", num_threads);
+        Imbalance().agg, num_threads);
     c.MarkNnzDirty();
     return c;
   }

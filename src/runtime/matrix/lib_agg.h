@@ -151,7 +151,7 @@ CellStats FullAggChunked(int64_t rows, int num_threads,
         CellStats& s = partials[static_cast<size_t>(rb / chunk_rows)];
         for (int64_t r = rb; r < re; ++r) scan(r, &s);
       },
-      "agg", num_threads);
+      Imbalance().agg, num_threads);
   CellStats total = partials[0];
   for (size_t i = 1; i < partials.size(); ++i) Merge(&total, partials[i]);
   return total;
@@ -173,7 +173,7 @@ Kahan FullSumChunked(int64_t rows, int num_threads, const MakeScan& make_scan) {
         Kahan& k = partials[static_cast<size_t>(rb / chunk_rows)];
         for (int64_t r = rb; r < re; ++r) scan(r, &k);
       },
-      "agg", num_threads);
+      Imbalance().agg, num_threads);
   Kahan total = partials[0];
   for (size_t i = 1; i < partials.size(); ++i) {
     total.Add(partials[i].sum);
@@ -203,7 +203,7 @@ std::vector<CellStats> ColAggChunked(int64_t rows, int64_t cols,
         s.assign(static_cast<size_t>(cols), CellStats());
         for (int64_t r = rb; r < re; ++r) scan(r, s.data());
       },
-      "agg", num_threads);
+      Imbalance().agg, num_threads);
   for (std::vector<CellStats>& p : partials) {
     if (p.empty()) continue;
     if (total.empty()) {

@@ -57,7 +57,7 @@ StatusOr<MatrixBlock> RandMatrix(int64_t rows, int64_t cols, double min_val,
     }
   };
   ThreadPool::Global().ParallelFor(0, num_blocks, kMaxLoopChunks, gen_block,
-                                   "datagen", num_threads);
+                                   Imbalance().datagen, num_threads);
   c.MarkNnzDirty();
   return c;
 }

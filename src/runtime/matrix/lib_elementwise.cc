@@ -156,7 +156,7 @@ StatusOr<MatrixBlock> BinaryMatrixMatrix(BinaryOpCode op,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise", num_threads);
+      Imbalance().elementwise, num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -211,7 +211,7 @@ MatrixBlock BinaryMatrixScalar(BinaryOpCode op, const MatrixBlock& a,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise", num_threads);
+      Imbalance().elementwise, num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -256,7 +256,7 @@ MatrixBlock UnaryMatrix(UnaryOpCode op, const MatrixBlock& a,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise", num_threads);
+      Imbalance().elementwise, num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }
@@ -291,7 +291,7 @@ StatusOr<MatrixBlock> TernaryIfElse(const MatrixBlock& cond,
         }
         nnz.fetch_add(local, std::memory_order_relaxed);
       },
-      "elementwise", num_threads);
+      Imbalance().elementwise, num_threads);
   c.ExamSparsity(nnz.load(std::memory_order_relaxed));
   return c;
 }

@@ -292,7 +292,7 @@ StatusOr<FusedResult> ExecSparseDriver(
           }
           nnz.fetch_add(local, std::memory_order_relaxed);
         },
-        "fused", num_threads);
+        Imbalance().fused, num_threads);
     c.SetNonZeros(nnz.load(std::memory_order_relaxed));
     FusedResult out;
     out.matrix = std::move(c);
@@ -347,7 +347,7 @@ StatusOr<FusedResult> ExecSparseDriver(
             c.DenseData()[r] = agg::Finalize(plan.agg, stats);
           }
         },
-        "fused", num_threads);
+        Imbalance().fused, num_threads);
     c.MarkNnzDirty();
     FusedResult out;
     out.matrix = std::move(c);
@@ -660,7 +660,7 @@ StatusOr<FusedResult> ExecDenseDriver(
           }
           nnz.fetch_add(local, std::memory_order_relaxed);
         },
-        "fused", num_threads);
+        Imbalance().fused, num_threads);
     // Sparsity re-examination happens only here at the region root, with
     // the inline nonzero count (no extra full scan for the pipeline).
     c.ExamSparsity(nnz.load(std::memory_order_relaxed));
@@ -713,7 +713,7 @@ StatusOr<FusedResult> ExecDenseDriver(
             c.DenseData()[r] = agg::Finalize(plan.agg, stats);
           }
         },
-        "fused", num_threads);
+        Imbalance().fused, num_threads);
     c.MarkNnzDirty();
     FusedResult out;
     out.matrix = std::move(c);

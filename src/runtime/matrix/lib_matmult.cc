@@ -403,7 +403,7 @@ void TreeReducePartials(std::vector<std::vector<double>>* partials,
             std::vector<double>().swap(src);
           }
         },
-        "matmult.reduce", num_threads);
+        Imbalance().matmult_reduce, num_threads);
   }
 }
 
@@ -421,8 +421,8 @@ StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
   auto run = [&](auto fn) {
     ThreadPool::Global().ParallelFor(
         0, a.Rows(), chunks,
-        [&](int64_t rb, int64_t re) { fn(a, b, &c, rb, re); }, "matmult",
-        num_threads);
+        [&](int64_t rb, int64_t re) { fn(a, b, &c, rb, re); },
+        Imbalance().matmult, num_threads);
   };
   // Sparse-A paths split on cumulative row nnz instead of row count so a
   // few dense rows cannot straggle one chunk; output rows stay disjoint, so
@@ -433,7 +433,7 @@ StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
         0, a.Rows(), chunks,
         [&](int64_t i) { return a.SparseData().Row(i).Size() + 1; },
         [&](int64_t rb, int64_t re, int64_t) { fn(a, b, &c, rb, re); },
-        "matmult", num_threads);
+        Imbalance().matmult, num_threads);
   };
   if (!a.IsSparse() && !b.IsSparse()) {
     run(GemmDenseRows);
@@ -483,7 +483,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
             }
           }
         },
-        "tsmm", num_threads);
+        Imbalance().tsmm, num_threads);
     // Mirror the upper triangle.
     MirrorLowerTriangle(c.DenseData(), m, num_threads);
     c.MarkNnzDirty();
@@ -513,7 +513,7 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
             }
           }
         },
-        "tsmm", num_threads);
+        Imbalance().tsmm, num_threads);
     MirrorLowerTriangle(pc, n, num_threads);
     c.MarkNnzDirty();
     c.ExamSparsity();
@@ -550,13 +550,13 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     ThreadPool::Global().ParallelForWeighted(
         0, m, chunks,
         [&](int64_t i) { return x.SparseData().Row(i).Size() + 1; },
-        accumulate, "tsmm", num_threads);
+        accumulate, Imbalance().tsmm, num_threads);
   } else {
     int64_t chunk_rows = (m + chunks - 1) / chunks;
     ThreadPool::Global().ParallelFor(
         0, m, chunks,
         [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        "tsmm", num_threads);
+        Imbalance().tsmm, num_threads);
   }
   TreeReducePartials(&partials, n * n, num_threads);
   MatrixBlock c = MatrixBlock::Dense(n, n);
@@ -601,7 +601,7 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
             }
           }
         },
-        "tlmm", num_threads);
+        Imbalance().tlmm, num_threads);
     c.MarkNnzDirty();
     c.ExamSparsity();
     return c;
@@ -665,13 +665,13 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
     ThreadPool::Global().ParallelForWeighted(
         0, m, chunks,
         [&](int64_t i) { return a.SparseData().Row(i).Size() + 1; },
-        accumulate, "tlmm", num_threads);
+        accumulate, Imbalance().tlmm, num_threads);
   } else {
     int64_t chunk_rows = (m + chunks - 1) / chunks;
     ThreadPool::Global().ParallelFor(
         0, m, chunks,
         [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        "tlmm", num_threads);
+        Imbalance().tlmm, num_threads);
   }
   TreeReducePartials(&partials, n * l, num_threads);
   MatrixBlock c = MatrixBlock::Dense(n, l);

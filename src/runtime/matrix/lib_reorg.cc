@@ -31,7 +31,7 @@ MatrixBlock Transpose(const MatrixBlock& a, int num_threads) {
             }
           }
         },
-        "reorg", num_threads);
+        Imbalance().reorg, num_threads);
   } else {
     // Sparse transpose: counting pass then scatter keeps rows sorted.
     c.AllocateSparse();

@@ -13,40 +13,29 @@ namespace serve {
 
 namespace {
 
-obs::Counter& RequestsCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("serve.requests");
-  return *c;
-}
-obs::Counter& RejectedCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("serve.rejected");
-  return *c;
-}
-obs::Counter& DeadlineMissCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("serve.deadline_misses");
-  return *c;
-}
-obs::Counter& RetryableFailureCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("serve.retryable_failures");
-  return *c;
-}
-obs::Counter& BatchesCounter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Get().GetCounter("serve.batches");
-  return *c;
-}
-obs::Gauge& QueueDepthGauge() {
-  static obs::Gauge* g =
-      obs::MetricsRegistry::Get().GetGauge("serve.queue_depth");
-  return *g;
-}
-obs::Histogram& LatencyHistogram() {
-  static obs::Histogram* h =
-      obs::MetricsRegistry::Get().GetHistogram("serve.latency_ns");
-  return *h;
+struct ServeMetrics {
+  obs::Counter* requests;
+  obs::Counter* rejected;
+  obs::Counter* deadline_misses;
+  obs::Counter* retryable_failures;
+  obs::Counter* batches;
+  // Requests queued, summed over every live service.
+  obs::Gauge* queue_depth;
+  obs::Histogram* latency_ns;
+};
+
+ServeMetrics& Metrics() {
+  auto& r = obs::MetricsRegistry::Get();
+  static ServeMetrics m = {
+      r.GetCounter("serve.requests"),
+      r.GetCounter("serve.rejected"),
+      r.GetCounter("serve.deadline_misses"),
+      r.GetCounter("serve.retryable_failures"),
+      r.GetCounter("serve.batches"),
+      r.GetGauge("serve.queue_depth"),
+      r.GetHistogram("serve.latency_ns"),
+  };
+  return m;
 }
 
 std::future<StatusOr<ScriptResult>> ReadyFuture(Status status) {
@@ -97,7 +86,7 @@ Status ScoringService::RegisterModel(
 
 std::future<StatusOr<ScriptResult>> ScoringService::Submit(
     const std::string& model, Inputs inputs, const RequestOptions& options) {
-  RequestsCounter().Add(1);
+  Metrics().requests->Add(1);
   Request req;
   req.inputs = std::move(inputs);
   req.options = options;
@@ -111,6 +100,7 @@ std::future<StatusOr<ScriptResult>> ScoringService::Submit(
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutdown_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().rejected->Add(1);
       return ReadyFuture(CancelledError("scoring service is shut down"));
     }
     auto it = models_.find(model);
@@ -119,7 +109,7 @@ std::future<StatusOr<ScriptResult>> ScoringService::Submit(
     }
     if (queue_.size() >= options_.max_queue_depth) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      RejectedCounter().Add(1);
+      Metrics().rejected->Add(1);
       return ReadyFuture(
           OomError("admission queue full (" +
                    std::to_string(options_.max_queue_depth) +
@@ -130,7 +120,7 @@ std::future<StatusOr<ScriptResult>> ScoringService::Submit(
         int64_t headroom = pool->Headroom();
         if (headroom < options_.admission_headroom_bytes) {
           rejected_.fetch_add(1, std::memory_order_relaxed);
-          RejectedCounter().Add(1);
+          Metrics().rejected->Add(1);
           return ReadyFuture(OomError(
               "memory headroom low (" + std::to_string(headroom) + " < " +
               std::to_string(options_.admission_headroom_bytes) +
@@ -141,7 +131,7 @@ std::future<StatusOr<ScriptResult>> ScoringService::Submit(
     req.model = it->second.get();
     queue_.push_back(std::move(req));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    QueueDepthGauge().Set(static_cast<int64_t>(queue_.size()));
+    Metrics().queue_depth->Add(1);
   }
   cv_.notify_one();
   return future;
@@ -231,7 +221,7 @@ bool ScoringService::NextWork(std::vector<Request>& work) {
       }
     }
   }
-  QueueDepthGauge().Set(static_cast<int64_t>(queue_.size()));
+  Metrics().queue_depth->Add(-static_cast<int64_t>(work.size()));
   return true;
 }
 
@@ -254,16 +244,16 @@ void ScoringService::Resolve(Request& req, StatusOr<ScriptResult> result) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     if (result.status().code() == StatusCode::kTimeout) {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      DeadlineMissCounter().Add(1);
+      Metrics().deadline_misses->Add(1);
     }
     if (IsRetryable(result.status())) {
       // Chaos-degraded backends (kUnavailable/kCorrupt) and saturation
       // (kOom/kTimeout/kCancelled) are transient from the client's view.
       retryable_failures_.fetch_add(1, std::memory_order_relaxed);
-      RetryableFailureCounter().Add(1);
+      Metrics().retryable_failures->Add(1);
     }
   }
-  LatencyHistogram().Observe(
+  Metrics().latency_ns->Observe(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - req.enqueue_time)
           .count());
@@ -367,7 +357,7 @@ void ScoringService::ExecuteBatch(std::vector<Request>& batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_requests_.fetch_add(static_cast<int64_t>(live.size()),
                               std::memory_order_relaxed);
-  BatchesCounter().Add(1);
+  Metrics().batches->Add(1);
   for (size_t i = 0; i < live.size(); ++i) {
     Request& req = live[i];
     if (req.options.cancel != nullptr && req.options.cancel->Cancelled()) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/statistics.h"
+#include "obs/metrics.h"
 
 namespace sysds {
 namespace {
@@ -81,12 +81,11 @@ TEST(ApiTest, StatisticsCollection) {
   DMLConfig config;
   config.statistics = true;
   SystemDSContext ctx(config);
-  Statistics::Get().Reset();
   auto r = ctx.Execute(
       "X = rand(rows=50, cols=10, seed=1)\nY = t(X) %*% X\ns = sum(Y)\n",
       Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok());
-  std::string report = Statistics::Get().Report();
+  std::string report = obs::MetricsRegistry::Get().Report();
   EXPECT_NE(report.find("tsmm"), std::string::npos);
   EXPECT_NE(report.find("rand"), std::string::npos);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "api/systemds_context.h"
+#include "obs/metrics.h"
 #include "runtime/bufferpool/buffer_pool.h"
 #include "runtime/controlprog/data.h"
 #include "serve/scoring_service.h"
@@ -45,6 +46,45 @@ TEST(PoolOwnershipTest, DroppedMatrixLeavesItsOwnContextsPool) {
   a->Pool()->SetLimit(0);  // eviction pass over A's entries
   EXPECT_EQ(a->Pool()->CachedBytes(), 0);
   EXPECT_EQ(b->Pool()->CachedBytes(), 0);
+}
+
+// bufferpool.{cached,pinned}_bytes sum over every live pool: each pool adds
+// what it holds, and a destroyed pool takes its share back.
+TEST(PoolOwnershipTest, PoolGaugesSumOverLiveContexts) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
+  obs::Gauge* cached = reg.GetGauge("bufferpool.cached_bytes");
+  obs::Gauge* pinned = reg.GetGauge("bufferpool.pinned_bytes");
+  const int64_t cached_base = cached->Value();
+  const int64_t pinned_base = pinned->Value();
+
+  auto a = SystemDSContext::Builder().Build();
+  auto b = SystemDSContext::Builder().Build();
+  auto xa = std::make_shared<MatrixObject>(MatrixBlock::Dense(64, 64, 1.0));
+  auto xb = std::make_shared<MatrixObject>(MatrixBlock::Dense(128, 64, 2.0));
+  // Storing an input binds it to that context's pool; a read pins it.
+  ASSERT_TRUE(
+      a->Execute("s = sum(X)\n", Inputs().Bind("X", xa), Outputs("s")).ok());
+  ASSERT_TRUE(
+      b->Execute("s = sum(X)\n", Inputs().Bind("X", xb), Outputs("s")).ok());
+  ASSERT_TRUE(xa->AcquireRead().ok());
+  ASSERT_TRUE(xb->AcquireRead().ok());
+  ASSERT_GT(a->Pool()->PinnedBytes(), 0);
+  ASSERT_GT(b->Pool()->PinnedBytes(), 0);
+  EXPECT_EQ(cached->Value() - cached_base,
+            a->Pool()->CachedBytes() + b->Pool()->CachedBytes());
+  EXPECT_EQ(pinned->Value() - pinned_base,
+            a->Pool()->PinnedBytes() + b->Pool()->PinnedBytes());
+
+  xb->Release();
+  xb.reset();
+  b.reset();  // the last reference to b's pool
+  EXPECT_EQ(cached->Value() - cached_base, a->Pool()->CachedBytes());
+  EXPECT_EQ(pinned->Value() - pinned_base, a->Pool()->PinnedBytes());
+  xa->Release();
+  xa.reset();
+  a.reset();
+  EXPECT_EQ(cached->Value(), cached_base);
+  EXPECT_EQ(pinned->Value(), pinned_base);
 }
 
 // A PreparedScript whose context is destroyed first keeps storing matrices

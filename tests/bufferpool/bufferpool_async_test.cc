@@ -46,21 +46,16 @@ FaultConfig SpillErrorConfig(double prob) {
   return c;
 }
 
-int64_t CounterValue(const std::string& name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
-int64_t RestoreCount() {
-  return obs::MetricsRegistry::Get()
-      .GetHistogram("bufferpool.restore_ns")
-      ->Count();
+// Restores (spill-file reads) since `diff`.
+int64_t Restores(const obs::MetricsDiff& diff) {
+  return diff.Delta().Histogram("bufferpool.restore_ns").count;
 }
 
 TEST_F(BufferPoolAsyncTest, WriteBehindTurnsEvictionsIntoFreeDrops) {
   BufferPool::Options opt;
   opt.limit_bytes = 200 * 1024;  // fits ~2 of the 80KB blocks
   auto pool = std::make_shared<BufferPool>(opt);
-  int64_t drops_before = CounterValue("bufferpool.free_drops");
+  obs::MetricsDiff diff;
 
   std::vector<std::shared_ptr<MatrixObject>> objs;
   for (int i = 0; i < 6; ++i) {
@@ -72,7 +67,7 @@ TEST_F(BufferPoolAsyncTest, WriteBehindTurnsEvictionsIntoFreeDrops) {
   EXPECT_GT(pool->EvictionCount(), 0);
   // The background writer cleaned blocks so at least some evictions were
   // free drops instead of synchronous spill writes.
-  EXPECT_GT(CounterValue("bufferpool.free_drops"), drops_before);
+  EXPECT_GT(diff.Counter("bufferpool.free_drops"), 0);
   // Contents survive the async path bit-exact.
   for (int i = 0; i < 6; ++i) {
     auto r = objs[static_cast<size_t>(i)]->AcquireRead();
@@ -96,15 +91,13 @@ TEST_F(BufferPoolAsyncTest, RestoredObjectStaysCleanAndReEvictsForFree) {
 
   // Blocks are immutable, so the kept spill file is still valid: the
   // second eviction must not write again.
-  int64_t sync_before = CounterValue("bufferpool.sync_spills");
-  int64_t wb_before = CounterValue("bufferpool.writebacks");
-  int64_t drops_before = CounterValue("bufferpool.free_drops");
+  obs::MetricsDiff diff;
   pool->SetLimit(64);
   pool->Drain();
   EXPECT_FALSE(obj->HasPayload());
-  EXPECT_EQ(CounterValue("bufferpool.sync_spills"), sync_before);
-  EXPECT_EQ(CounterValue("bufferpool.writebacks"), wb_before);
-  EXPECT_GT(CounterValue("bufferpool.free_drops"), drops_before);
+  EXPECT_EQ(diff.Counter("bufferpool.sync_spills"), 0);
+  EXPECT_EQ(diff.Counter("bufferpool.writebacks"), 0);
+  EXPECT_GT(diff.Counter("bufferpool.free_drops"), 0);
 
   auto again = obj->AcquireRead();
   ASSERT_TRUE(again.ok()) << again.status();
@@ -120,7 +113,7 @@ TEST_F(BufferPoolAsyncTest, ConcurrentAcquiresCoalesceIntoOneRestore) {
   pool->SetLimit(1 << 30);
 
   const int kThreads = 8;
-  int64_t reads_before = RestoreCount();
+  obs::MetricsDiff reads;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -137,7 +130,7 @@ TEST_F(BufferPoolAsyncTest, ConcurrentAcquiresCoalesceIntoOneRestore) {
   EXPECT_EQ(failures.load(), 0);
   // Single-flight: N concurrent acquires of one spilled object perform
   // exactly one disk read; waiters block on the object's CV.
-  EXPECT_EQ(RestoreCount() - reads_before, 1);
+  EXPECT_EQ(Restores(reads), 1);
 }
 
 TEST_F(BufferPoolAsyncTest, PrefetchRestoresAheadOfDemand) {
@@ -147,20 +140,19 @@ TEST_F(BufferPoolAsyncTest, PrefetchRestoresAheadOfDemand) {
   ASSERT_FALSE(obj->HasPayload());
   pool->SetLimit(1 << 30);
 
-  int64_t hits_before = CounterValue("bufferpool.prefetch_hits");
-  int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
+  obs::MetricsDiff diff;
   pool->Prefetch(obj.get());
   pool->Drain();
   EXPECT_TRUE(obj->HasPayload()) << "prefetch restored ahead of demand";
-  EXPECT_GT(CounterValue("bufferpool.prefetch_issued"), issued_before);
+  EXPECT_GT(diff.Counter("bufferpool.prefetch_issued"), 0);
 
-  int64_t reads_before = RestoreCount();
+  obs::MetricsDiff reads;
   auto r = obj->AcquireRead();
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ((*r)->Get(3, 3), 9.0);
   obj->Release();
-  EXPECT_EQ(RestoreCount(), reads_before) << "no demand read after prefetch";
-  EXPECT_GT(CounterValue("bufferpool.prefetch_hits"), hits_before);
+  EXPECT_EQ(Restores(reads), 0) << "no demand read after prefetch";
+  EXPECT_GT(diff.Counter("bufferpool.prefetch_hits"), 0);
 }
 
 TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
@@ -185,12 +177,12 @@ TEST_F(BufferPoolAsyncTest, TwoQKeepsWorkingSetThroughScan) {
   for (const auto& m : scan) evicted_scan += m->HasPayload() ? 0 : 1;
   EXPECT_GT(evicted_scan, 0);
   EXPECT_TRUE(hot->HasPayload()) << "the protected block survives the scan";
-  int64_t reads_before = RestoreCount();
+  obs::MetricsDiff reads;
   auto r = hot->AcquireRead();
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ((*r)->Get(7, 7), 1.0);
   hot->Release();
-  EXPECT_EQ(RestoreCount(), reads_before) << "no demand restore of hot";
+  EXPECT_EQ(Restores(reads), 0) << "no demand restore of hot";
 }
 
 TEST_F(BufferPoolAsyncTest, EvictToKeepsABlockPinnedAfterItsWriteResident) {
@@ -307,8 +299,7 @@ TEST_F(BufferPoolAsyncTest, FailedWritebackStaysDirtyAndRetryable) {
   BufferPool::Options opt;
   opt.limit_bytes = 200 * 1024;
   auto pool = std::make_shared<BufferPool>(opt);
-  int64_t wb_failures_before =
-      CounterValue("fault.bufferpool.writeback_failures");
+  obs::MetricsDiff diff;
   std::vector<std::shared_ptr<MatrixObject>> objs;
   {
     // Every spill write fails: write-behind must leave blocks dirty and
@@ -319,8 +310,7 @@ TEST_F(BufferPoolAsyncTest, FailedWritebackStaysDirtyAndRetryable) {
           pool, MatrixBlock::Dense(100, 100, static_cast<double>(i))));
     }
     pool->Drain();
-    EXPECT_GT(CounterValue("fault.bufferpool.writeback_failures"),
-              wb_failures_before);
+    EXPECT_GT(diff.Counter("fault.bufferpool.writeback_failures"), 0);
     for (const auto& o : objs) EXPECT_TRUE(o->HasPayload());
   }
   // Once the spill device recovers the same pressure drains normally.
@@ -452,10 +442,10 @@ TEST_F(BufferPoolAsyncTest, ResultsBitIdenticalAcrossPoolConfigurations) {
           false));
   // A pool far below one operand: every registration lands above the hard
   // limit, so dirty victims take the synchronous EvictTo backstop.
-  int64_t sync_before = CounterValue("bufferpool.sync_spills");
+  obs::MetricsDiff diff;
   double sync_backstop = RunIterativeScript(
       SystemDSContext::Builder().BufferPoolLimit(16 * 1024));
-  EXPECT_GT(CounterValue("bufferpool.sync_spills"), sync_before);
+  EXPECT_GT(diff.Counter("bufferpool.sync_spills"), 0);
   // Bit-identical, not approximately equal: spill/restore round-trips and
   // background scheduling must not perturb a single bit of the result.
   EXPECT_EQ(no_evictions, async_tiny);
@@ -465,7 +455,7 @@ TEST_F(BufferPoolAsyncTest, ResultsBitIdenticalAcrossPoolConfigurations) {
 }
 
 TEST_F(BufferPoolAsyncTest, LoopPrefetchEngagesOnOverLimitWorkload) {
-  int64_t issued_before = CounterValue("bufferpool.prefetch_issued");
+  obs::MetricsDiff diff;
   // The pool holds one 160 KB operand but not the loop's working set; a
   // prefetch is admitted only when the headroom covers the block.
   double v = RunIterativeScript(
@@ -473,7 +463,7 @@ TEST_F(BufferPoolAsyncTest, LoopPrefetchEngagesOnOverLimitWorkload) {
   EXPECT_NE(v, 0.0);
   // The loop's liveness hints scheduled background restores of spilled
   // operands at iteration boundaries.
-  EXPECT_GT(CounterValue("bufferpool.prefetch_issued"), issued_before);
+  EXPECT_GT(diff.Counter("bufferpool.prefetch_issued"), 0);
 }
 
 }  // namespace

@@ -34,10 +34,6 @@ FaultConfig SpillErrorConfig(double prob) {
   return c;
 }
 
-int64_t FaultCounter(const std::string& name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 TEST_F(BufferPoolTest, TracksRegisteredBytes) {
   auto pool = std::make_shared<BufferPool>(1 << 30);
   auto m = Pooled(pool, MatrixBlock::Dense(100, 100, 1.0));
@@ -116,8 +112,7 @@ TEST_F(BufferPoolTest, SpillFailureRepinsAndKeepsAccountingConsistent) {
   }
   int64_t tracked = pool->CachedBytes();
   int64_t evictions_before = pool->EvictionCount();
-  int64_t repins_before = FaultCounter("fault.bufferpool.spill_repins");
-  int64_t retries_before = FaultCounter("fault.bufferpool.spill_retries");
+  obs::MetricsDiff diff;
 
   // Every spill write fails: eviction must retry, then re-pin the victims
   // in memory without corrupting LRU/byte accounting.
@@ -127,8 +122,8 @@ TEST_F(BufferPoolTest, SpillFailureRepinsAndKeepsAccountingConsistent) {
     for (const auto& o : objs) EXPECT_TRUE(o->IsCached());
     EXPECT_EQ(pool->CachedBytes(), tracked);  // nothing untracked or leaked
     EXPECT_EQ(pool->EvictionCount(), evictions_before);
-    EXPECT_GT(FaultCounter("fault.bufferpool.spill_retries"), retries_before);
-    EXPECT_GT(FaultCounter("fault.bufferpool.spill_repins"), repins_before);
+    EXPECT_GT(diff.Counter("fault.bufferpool.spill_retries"), 0);
+    EXPECT_GT(diff.Counter("fault.bufferpool.spill_repins"), 0);
   }
 
   // Once the spill device recovers, the same pressure evicts normally.
@@ -148,8 +143,7 @@ TEST_F(BufferPoolTest, RestoreFailurePropagatesAndStaysRetryable) {
   pool->SetLimit(64);  // spill it (injection off, so the write succeeds)
   ASSERT_FALSE(obj->IsCached());
 
-  int64_t retries_before = FaultCounter("fault.bufferpool.restore_retries");
-  int64_t failures_before = FaultCounter("fault.bufferpool.restore_failures");
+  obs::MetricsDiff diff;
   {
     // Both the read and its retry fail: the error must surface to the
     // caller — never a substitute zeros block — and leave the object
@@ -160,9 +154,8 @@ TEST_F(BufferPoolTest, RestoreFailurePropagatesAndStaysRetryable) {
     EXPECT_EQ(acquired.status().code(), StatusCode::kIoError);
     EXPECT_FALSE(obj->IsCached());
   }
-  EXPECT_GT(FaultCounter("fault.bufferpool.restore_retries"), retries_before);
-  EXPECT_GT(FaultCounter("fault.bufferpool.restore_failures"),
-            failures_before);
+  EXPECT_GT(diff.Counter("fault.bufferpool.restore_retries"), 0);
+  EXPECT_GT(diff.Counter("fault.bufferpool.restore_failures"), 0);
 
   // The failure is transient, not fatal: once the spill device recovers,
   // the same acquire succeeds from the kept spill file.
@@ -175,7 +168,7 @@ TEST_F(BufferPoolTest, RestoreFailurePropagatesAndStaysRetryable) {
 TEST_F(BufferPoolTest, ScriptCompletesUnderSpillFaults) {
   // End-to-end: a script whose working set overflows a tiny pool completes
   // with correct results even when every spill write fails (re-pin path).
-  int64_t repins_before = FaultCounter("fault.bufferpool.spill_repins");
+  obs::MetricsDiff diff;
   FaultConfig chaos = SpillErrorConfig(1.0);
   auto ctx = SystemDSContext::Builder()
                  .BufferPoolLimit(32 * 1024)
@@ -194,7 +187,7 @@ TEST_F(BufferPoolTest, ScriptCompletesUnderSpillFaults) {
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(std::isfinite(*s));
   EXPECT_NE(*s, 0.0);
-  EXPECT_GT(FaultCounter("fault.bufferpool.spill_repins"), repins_before);
+  EXPECT_GT(diff.Counter("fault.bufferpool.spill_repins"), 0);
 }
 
 }  // namespace

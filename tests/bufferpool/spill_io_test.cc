@@ -528,10 +528,6 @@ TEST(BinaryHeaderTest, SpillWithValidFooterAroundHugeHeaderIsCorrupt) {
 // ---------------------------------------------------------------------------
 // Prefetch admission and retention.
 
-int64_t CounterValue(const std::string& name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 std::shared_ptr<MatrixObject> Pooled(const std::shared_ptr<BufferPool>& pool,
                                      MatrixBlock block) {
   auto m = std::make_shared<MatrixObject>(std::move(block));
@@ -551,12 +547,11 @@ TEST(PrefetchAdmissionTest, PrefetchWithoutHeadroomIsDeclined) {
   pool->SetLimit(64);
   ASSERT_FALSE(a->HasPayload());
   pool->SetLimit(40 * 1024);  // the headroom cannot hold the block
-  const int64_t issued = CounterValue("bufferpool.prefetch_issued");
-  const int64_t declined = CounterValue("bufferpool.prefetch_declined");
+  obs::MetricsDiff diff;
   pool->Prefetch(a.get());
   pool->Drain();
-  EXPECT_EQ(CounterValue("bufferpool.prefetch_issued"), issued);
-  EXPECT_EQ(CounterValue("bufferpool.prefetch_declined"), declined + 1);
+  EXPECT_EQ(diff.Counter("bufferpool.prefetch_issued"), 0);
+  EXPECT_EQ(diff.Counter("bufferpool.prefetch_declined"), 1);
   EXPECT_FALSE(a->HasPayload());
 }
 
@@ -575,23 +570,18 @@ TEST(PrefetchAdmissionTest, PrefetchedBlockIsNotEvictedBeforeItsRead) {
   ReadOnce(b.get());
   ASSERT_TRUE(b->HasPayload());
 
-  const int64_t hits = CounterValue("bufferpool.prefetch_hits");
+  obs::MetricsDiff diff;
   pool->Prefetch(a.get());
   pool->Drain();
   EXPECT_TRUE(a->HasPayload()) << "prefetched block dropped before its read";
-  const int64_t restores = obs::MetricsRegistry::Get()
-                               .GetHistogram("bufferpool.restore_ns")
-                               ->Count();
+  obs::MetricsDiff demand;
   auto r = a->AcquireRead();
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ((*r)->Get(7, 7), 1.0);
   a->Release();
-  EXPECT_EQ(obs::MetricsRegistry::Get()
-                .GetHistogram("bufferpool.restore_ns")
-                ->Count(),
-            restores)
+  EXPECT_EQ(demand.Delta().Histogram("bufferpool.restore_ns").count, 0)
       << "the demand read found the prefetched block";
-  EXPECT_EQ(CounterValue("bufferpool.prefetch_hits"), hits + 1);
+  EXPECT_EQ(diff.Counter("bufferpool.prefetch_hits"), 1);
 }
 
 }  // namespace

@@ -25,10 +25,6 @@
 namespace sysds {
 namespace {
 
-int64_t Counter(const std::string& name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 MatrixBlock Random(int64_t rows, int64_t cols, uint64_t seed) {
   return *RandMatrix(rows, cols, -1, 1, 1.0, seed, RandPdf::kUniform, 1);
 }
@@ -66,8 +62,7 @@ TEST_P(ChaosTest, FederatedOpsBitIdenticalWithDeadSite) {
     cs_ref = *fx->ColSums();
   }
 
-  int64_t retries_before = Counter("fault.fed.retries");
-  int64_t fallbacks_before = Counter("fault.fed.local_fallbacks");
+  obs::MetricsDiff diff;
 
   // Chaos run: standard fault rates plus site 2 permanently dead.
   FaultConfig config = ChaosConfig(GetParam());
@@ -100,8 +95,8 @@ TEST_P(ChaosTest, FederatedOpsBitIdenticalWithDeadSite) {
   EXPECT_TRUE(collected->EqualsApprox(x, 0));
 
   // The dead site forces retries and then the local-CP fallback.
-  EXPECT_GT(Counter("fault.fed.retries"), retries_before);
-  EXPECT_GT(Counter("fault.fed.local_fallbacks"), fallbacks_before);
+  EXPECT_GT(diff.Counter("fault.fed.retries"), 0);
+  EXPECT_GT(diff.Counter("fault.fed.local_fallbacks"), 0);
 }
 
 TEST_P(ChaosTest, FederatedLmSurvivesChaos) {
@@ -131,8 +126,7 @@ TEST_P(ChaosTest, DistMatMultBitIdenticalUnderExecutorCrashes) {
   auto reference = DistMatMult(ba, bb);
   ASSERT_TRUE(reference.ok());
 
-  int64_t crashes_before = Counter("fault.injected.crash");
-  int64_t retries_before = Counter("fault.dist.retries");
+  obs::MetricsDiff diff;
 
   // Crash-heavy profile: every task risks losing its attempt and being
   // re-executed; with 8x8 output blocks each seed injects several crashes.
@@ -145,8 +139,8 @@ TEST_P(ChaosTest, DistMatMultBitIdenticalUnderExecutorCrashes) {
   ASSERT_TRUE(chaotic.ok()) << chaotic.status();
   EXPECT_TRUE(chaotic->ToMatrix().EqualsApprox(reference->ToMatrix(), 0));
 
-  EXPECT_GT(Counter("fault.injected.crash"), crashes_before);
-  EXPECT_GT(Counter("fault.dist.retries"), retries_before);
+  EXPECT_GT(diff.Counter("fault.injected.crash"), 0);
+  EXPECT_GT(diff.Counter("fault.dist.retries"), 0);
 }
 
 TEST_P(ChaosTest, DistTsmmBitIdenticalUnderChaos) {
@@ -168,7 +162,7 @@ TEST_P(ChaosTest, PsTrainingConvergesThroughMessageDrops) {
   MatrixBlock w = Random(8, 1, 22);
   auto y = MatMult(x, w, 1);
 
-  int64_t retries_before = Counter("fault.ps.retries");
+  obs::MetricsDiff diff;
 
   // A PS crash is a permanent worker loss (not a retried attempt), so the
   // per-batch crash probability is scaled to roughly one crash per job —
@@ -190,7 +184,7 @@ TEST_P(ChaosTest, PsTrainingConvergesThroughMessageDrops) {
   // excluded mid-run the survivors still fit it.
   EXPECT_TRUE(std::isfinite(result->final_loss));
   EXPECT_LT(result->final_loss, 0.1);
-  EXPECT_GT(Counter("fault.ps.retries"), retries_before);
+  EXPECT_GT(diff.Counter("fault.ps.retries"), 0);
 }
 
 TEST_P(ChaosTest, PsDeadWorkerExcludedWithoutWedgingBarrier) {
@@ -198,7 +192,7 @@ TEST_P(ChaosTest, PsDeadWorkerExcludedWithoutWedgingBarrier) {
   MatrixBlock w = Random(6, 1, 32);
   auto y = MatMult(x, w, 1);
 
-  int64_t excluded_before = Counter("fault.ps.excluded_workers");
+  obs::MetricsDiff diff;
 
   FaultConfig config = ChaosConfig(GetParam());
   config.profile.drop_prob = 0;  // isolate the dead-worker path
@@ -220,7 +214,7 @@ TEST_P(ChaosTest, PsDeadWorkerExcludedWithoutWedgingBarrier) {
   EXPECT_EQ(result->excluded_workers, 1);
   EXPECT_TRUE(std::isfinite(result->final_loss));
   EXPECT_LT(result->final_loss, 0.1);
-  EXPECT_GT(Counter("fault.ps.excluded_workers"), excluded_before);
+  EXPECT_GT(diff.Counter("fault.ps.excluded_workers"), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,

@@ -52,17 +52,17 @@ TEST(TransformEncodeTest, RecodeAssignsDenseCodes) {
   auto spec = ParseTransformSpec(R"({"recode":["city"]})", f);
   auto enc = MultiColumnEncoder::Fit(f, *spec);
   ASSERT_TRUE(enc.ok());
-  auto x = enc->Apply(f);
+  auto x = enc->Apply(f, {});
   ASSERT_TRUE(x.ok());
   EXPECT_EQ(x->Cols(), 3);
   // Same tokens get the same code; distinct tokens distinct codes 1..3.
-  EXPECT_EQ(x->Get(0, 0), x->Get(2, 0));
-  EXPECT_EQ(x->Get(1, 0), x->Get(4, 0));
-  EXPECT_NE(x->Get(0, 0), x->Get(1, 0));
-  EXPECT_GE(x->Get(3, 0), 1.0);
-  EXPECT_LE(x->Get(3, 0), 3.0);
+  EXPECT_EQ(x->Dense().Get(0, 0), x->Dense().Get(2, 0));
+  EXPECT_EQ(x->Dense().Get(1, 0), x->Dense().Get(4, 0));
+  EXPECT_NE(x->Dense().Get(0, 0), x->Dense().Get(1, 0));
+  EXPECT_GE(x->Dense().Get(3, 0), 1.0);
+  EXPECT_LE(x->Dense().Get(3, 0), 3.0);
   // Pass-through columns unchanged.
-  EXPECT_DOUBLE_EQ(x->Get(0, 2), 30.0);
+  EXPECT_DOUBLE_EQ(x->Dense().Get(0, 2), 30.0);
 }
 
 TEST(TransformEncodeTest, DummycodeExpandsColumns) {
@@ -72,11 +72,12 @@ TEST(TransformEncodeTest, DummycodeExpandsColumns) {
   auto enc = MultiColumnEncoder::Fit(f, *spec);
   ASSERT_TRUE(enc.ok());
   EXPECT_EQ(enc->NumOutputCols(), 3 + 2);  // 3 cities + age + income
-  auto x = enc->Apply(f);
+  auto x = enc->Apply(f, {});
   ASSERT_TRUE(x.ok());
   // Each row has exactly one 1 among the first three columns.
   for (int64_t r = 0; r < 6; ++r) {
-    double sum = x->Get(r, 0) + x->Get(r, 1) + x->Get(r, 2);
+    const MatrixBlock& m = x->Dense();
+    double sum = m.Get(r, 0) + m.Get(r, 1) + m.Get(r, 2);
     EXPECT_DOUBLE_EQ(sum, 1.0);
   }
 }
@@ -86,13 +87,13 @@ TEST(TransformEncodeTest, BinningEquiWidth) {
   auto spec = ParseTransformSpec(
       R"({"bin":[{"name":"income","method":"equi-width","numbins":5}]})", f);
   auto enc = MultiColumnEncoder::Fit(f, *spec);
-  auto x = enc->Apply(f);
+  auto x = enc->Apply(f, {});
   ASSERT_TRUE(x.ok());
-  EXPECT_DOUBLE_EQ(x->Get(0, 2), 1.0);  // income 30 -> first bin
-  EXPECT_DOUBLE_EQ(x->Get(5, 2), 5.0);  // income 80 -> last bin
+  EXPECT_DOUBLE_EQ(x->Dense().Get(0, 2), 1.0);  // income 30 -> first bin
+  EXPECT_DOUBLE_EQ(x->Dense().Get(5, 2), 5.0);  // income 80 -> last bin
   for (int64_t r = 0; r < 6; ++r) {
-    EXPECT_GE(x->Get(r, 2), 1.0);
-    EXPECT_LE(x->Get(r, 2), 5.0);
+    EXPECT_GE(x->Dense().Get(r, 2), 1.0);
+    EXPECT_LE(x->Dense().Get(r, 2), 5.0);
   }
 }
 
@@ -101,11 +102,11 @@ TEST(TransformEncodeTest, ImputeByMeanFillsNaN) {
   auto spec = ParseTransformSpec(
       R"({"impute":[{"name":"age","method":"mean"}]})", f);
   auto enc = MultiColumnEncoder::Fit(f, *spec);
-  auto x = enc->Apply(f);
+  auto x = enc->Apply(f, {});
   ASSERT_TRUE(x.ok());
   // Mean of {25,35,45,55,65} = 45 fills row 4.
-  EXPECT_DOUBLE_EQ(x->Get(4, 1), 45.0);
-  EXPECT_DOUBLE_EQ(x->Get(0, 1), 25.0);
+  EXPECT_DOUBLE_EQ(x->Dense().Get(4, 1), 45.0);
+  EXPECT_DOUBLE_EQ(x->Dense().Get(0, 1), 25.0);
 }
 
 TEST(TransformApplyTest, MetaRoundtripMatchesEncode) {
@@ -117,13 +118,13 @@ TEST(TransformApplyTest, MetaRoundtripMatchesEncode) {
       f);
   auto enc = MultiColumnEncoder::Fit(f, *spec);
   ASSERT_TRUE(enc.ok());
-  auto x1 = enc->Apply(f);
+  auto x1 = enc->Apply(f, {});
   FrameBlock meta = enc->MetaFrame();
   auto enc2 = MultiColumnEncoder::FromMeta(*spec, meta, f.Cols());
   ASSERT_TRUE(enc2.ok());
-  auto x2 = enc2->Apply(f);
+  auto x2 = enc2->Apply(f, {});
   ASSERT_TRUE(x1.ok() && x2.ok());
-  EXPECT_TRUE(x1->EqualsApprox(*x2, 0));
+  EXPECT_TRUE(x1->Dense().EqualsApprox(x2->Dense(), 0));
 }
 
 TEST(TransformApplyTest, UnseenCategoryMapsToZero) {
@@ -132,9 +133,9 @@ TEST(TransformApplyTest, UnseenCategoryMapsToZero) {
   auto enc = MultiColumnEncoder::Fit(f, *spec);
   FrameBlock f2 = PeopleFrame();
   f2.SetString(0, 0, "salzburg");  // unseen
-  auto x = enc->Apply(f2);
+  auto x = enc->Apply(f2, {});
   ASSERT_TRUE(x.ok());
-  EXPECT_DOUBLE_EQ(x->Get(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(x->Dense().Get(0, 0), 0.0);
 }
 
 TEST(TransformDecodeTest, InvertsRecodeAndDummycode) {
@@ -142,8 +143,8 @@ TEST(TransformDecodeTest, InvertsRecodeAndDummycode) {
   auto spec =
       ParseTransformSpec(R"({"recode":["city"],"dummycode":["city"]})", f);
   auto enc = MultiColumnEncoder::Fit(f, *spec);
-  auto x = enc->Apply(f);
-  auto decoded = enc->Decode(*x, f);
+  auto x = enc->Apply(f, {});
+  auto decoded = enc->Decode(x->Dense(), f);
   ASSERT_TRUE(decoded.ok());
   for (int64_t r = 0; r < 6; ++r) {
     EXPECT_EQ(decoded->GetString(r, 0), f.GetString(r, 0));

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
 #include "obs/metrics.h"
 
 namespace sysds {
@@ -35,16 +34,14 @@ void ExpectIdentical(const std::string& script,
 
   auto fused_ctx = MakeCtx(true);
   auto unfused_ctx = MakeCtx(false);
-  int64_t regions_before =
-      obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
+  obs::MetricsDiff diff;
   auto rf = fused_ctx->Execute(script, Inputs(), outs);
-  int64_t regions_after =
-      obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
+  const int64_t regions = diff.Counter("fusion.regions");
   auto ru = unfused_ctx->Execute(script, Inputs(), outs);
   ASSERT_TRUE(rf.ok()) << rf.status();
   ASSERT_TRUE(ru.ok()) << ru.status();
   if (expect_fused) {
-    EXPECT_GT(regions_after, regions_before)
+    EXPECT_GT(regions, 0)
         << "expected the fused context to plan at least one region";
   }
 
@@ -164,15 +161,11 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
   DMLConfig stats_config;
   stats_config.statistics = true;
   SystemDSContext fused_ctx(stats_config);
-  Statistics::Get().Reset();
-  int64_t regions_before =
-      obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
+  obs::MetricsDiff diff;
   auto rf = fused_ctx.Execute(script, Inputs(), Outputs("s"));
-  int64_t regions_after =
-      obs::MetricsRegistry::Get().GetCounter("fusion.regions")->Value();
   ASSERT_TRUE(rf.ok()) << rf.status();
-  EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
-  EXPECT_GT(regions_after, regions_before)
+  EXPECT_GT(diff.Counter("compiler.recompilations"), 0);
+  EXPECT_GT(diff.Counter("fusion.regions"), 0)
       << "recompilation should have re-planned fusion with known sizes";
 
   auto unfused_ctx = MakeCtx(false);
@@ -184,18 +177,13 @@ TEST(FusionDifferentialTest, RecompileTriggersRefusion) {
 
 TEST(FusionDifferentialTest, MetricsReportElidedIntermediates) {
   auto ctx = MakeCtx(true);
-  int64_t elided_before = obs::MetricsRegistry::Get()
-                              .GetCounter("fusion.intermediates_elided")
-                              ->Value();
+  obs::MetricsDiff diff;
   auto r = ctx->Execute(
       "X = rand(rows=100, cols=20, seed=14)\n"
       "s = sum(((X - 0.1) * 2)^2)\n",
       Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
-  int64_t elided_after = obs::MetricsRegistry::Get()
-                             .GetCounter("fusion.intermediates_elided")
-                             ->Value();
-  EXPECT_GE(elided_after - elided_before, 3)
+  EXPECT_GE(diff.Counter("fusion.intermediates_elided"), 3)
       << "three interior intermediates should have been elided";
 }
 

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
 #include "obs/metrics.h"
 
 namespace sysds {
@@ -22,7 +21,7 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
   DMLConfig config;
   config.statistics = true;
   SystemDSContext ctx(config);
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r = ctx.Execute(
       "X = read('recomp_x.csv')\n"
       "A = t(X) %*% X\n"
@@ -31,7 +30,7 @@ TEST(RecompileTest, UnknownSizesFromReadAreResolved) {
       Inputs(), Outputs("n", "s"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 80.0);
-  EXPECT_GT(Statistics::Get().GetCounter("compiler.recompilations"), 0);
+  EXPECT_GT(diff.Counter("compiler.recompilations"), 0);
   std::remove("recomp_x.csv");
 }
 
@@ -74,12 +73,13 @@ TEST(RecompileTest, LoopWithGrowingMatrix) {
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 6.0);
 }
 
-// Executed instructions of the distributed backend (opcode prefix "sp_"),
-// from the instruction statistics of contexts built with Statistics().
-int64_t DistInstructionsExecuted() {
+// Executed instructions of the distributed backend (opcode prefix "sp_")
+// since `diff`, from the instruction statistics of contexts built with
+// Statistics().
+int64_t DistInstructionsExecuted(const obs::MetricsDiff& diff) {
   int64_t n = 0;
-  for (const auto& s : obs::MetricsRegistry::Get().Instructions()) {
-    if (s.name.rfind("sp_", 0) == 0) n += s.count;
+  for (const auto& [name, s] : diff.Delta().instructions) {
+    if (name.rfind("sp_", 0) == 0) n += s.count;
   }
   return n;
 }
@@ -88,7 +88,7 @@ TEST(RecompileTest, LmDSOnKnownSizesRunsNoDistInstruction) {
   // lmDS sizes l = matrix(reg, ncol(X), 1) from ncol(X): once X's size is
   // known, t(X)%*%X + diag(l) fits the CP budget and never runs sp_+.
   auto ctx = SystemDSContext::Builder().Statistics().Build();
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r = ctx->Execute(
       "X = rand(rows=200, cols=20, seed=1)\n"
       "y = rand(rows=200, cols=1, seed=2)\n"
@@ -97,7 +97,7 @@ TEST(RecompileTest, LmDSOnKnownSizesRunsNoDistInstruction) {
       Inputs(), Outputs("n"));
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("n"), 20.0);
-  EXPECT_EQ(DistInstructionsExecuted(), 0);
+  EXPECT_EQ(DistInstructionsExecuted(diff), 0);
 }
 
 TEST(RecompileTest, TransformEncodeThenFunctionCallRunsNoDistInstruction) {
@@ -114,7 +114,7 @@ TEST(RecompileTest, TransformEncodeThenFunctionCallRunsNoDistInstruction) {
     }
   }
   auto ctx = SystemDSContext::Builder().Statistics().Build();
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r = ctx->Execute(
       "F = read('" + path + "', data_type='frame', header=TRUE)\n"
       "[Xall, M] = transformencode(target=F, "
@@ -131,14 +131,14 @@ TEST(RecompileTest, TransformEncodeThenFunctionCallRunsNoDistInstruction) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_DOUBLE_EQ(*r->GetDouble("width"), 6.0);
   EXPECT_LT(*r->GetDouble("res"), *r->GetDouble("ynorm"));
-  EXPECT_EQ(DistInstructionsExecuted(), 0);
+  EXPECT_EQ(DistInstructionsExecuted(diff), 0);
 }
 
 TEST(RecompileTest, FunctionRecompilesOnlyWhenInputSizesChange) {
   // f's body recompiles for the sizes of each call's inputs, and reuses its
   // plan while they stay the same: A, A, B, B, A recompiles three times.
   auto ctx = SystemDSContext::Builder().Statistics().Build();
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r = ctx->Execute(
       "f = function(Matrix[Double] X, Matrix[Double] v) return (Double s) {\n"
       "  s = sum((X - v)^2)\n"
@@ -161,7 +161,7 @@ TEST(RecompileTest, FunctionRecompilesOnlyWhenInputSizesChange) {
   for (const char* s : {"s3", "s4"}) {
     EXPECT_DOUBLE_EQ(*r->GetDouble(s), *r->GetDouble("eb")) << s;
   }
-  EXPECT_EQ(Statistics::Get().GetCounter("compiler.recompilations"), 3);
+  EXPECT_EQ(diff.Counter("compiler.recompilations"), 3);
 }
 
 TEST(ParamServTest, DmlLevelParamservBuiltin) {

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
 #include "compiler/compiler.h"
 #include "lineage/lineage.h"
+#include "obs/metrics.h"
 #include "runtime/controlprog/program.h"
 
 namespace sysds {
@@ -46,7 +46,7 @@ TEST(LineageDedupTest, BoundsTraceGrowthInLoops) {
 }
 
 TEST(LineageDedupTest, DistinctControlFlowPathsGetDistinctIds) {
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   DMLConfig config;
   config.lineage_tracing = true;
   config.lineage_dedup = true;
@@ -65,11 +65,11 @@ TEST(LineageDedupTest, DistinctControlFlowPathsGetDistinctIds) {
   ASSERT_TRUE(r.ok()) << r.status();
   // acc is a scalar: control-flow over scalars does not even need dedup
   // nodes (scalars are traced by value); the path registry stays small.
-  EXPECT_LE(Statistics::Get().GetCounter("lineage.dedup_paths"), 4);
+  EXPECT_LE(diff.Counter("lineage.dedup_paths"), 4);
 }
 
 TEST(LineageDedupTest, MatrixLoopPathsRegistered) {
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   DMLConfig config;
   config.lineage_tracing = true;
   config.lineage_dedup = true;
@@ -87,7 +87,7 @@ TEST(LineageDedupTest, MatrixLoopPathsRegistered) {
       Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
   // Exactly two distinct paths despite 30 iterations.
-  EXPECT_EQ(Statistics::Get().GetCounter("lineage.dedup_paths"), 2);
+  EXPECT_EQ(diff.Counter("lineage.dedup_paths"), 2);
 }
 
 TEST(LineageDedupTest, ResultsUnchangedByDedup) {

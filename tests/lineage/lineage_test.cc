@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
 
 namespace sysds {
 namespace {

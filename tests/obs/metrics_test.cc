@@ -6,15 +6,14 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/statistics.h"
 
 namespace sysds {
 namespace obs {
 namespace {
 
 TEST(MetricsTest, CounterConcurrentIncrements) {
+  MetricsDiff diff;
   Counter* c = MetricsRegistry::Get().GetCounter("test.metrics.concurrent");
-  c->Reset();
   constexpr int kThreads = 8;
   constexpr int kIncrements = 10000;
   std::vector<std::thread> threads;
@@ -24,7 +23,7 @@ TEST(MetricsTest, CounterConcurrentIncrements) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(c->Value(), kThreads * kIncrements);
+  EXPECT_EQ(diff.Counter("test.metrics.concurrent"), kThreads * kIncrements);
 }
 
 TEST(MetricsTest, RegistryReturnsStablePointers) {
@@ -45,7 +44,6 @@ TEST(MetricsTest, GaugeSetAndAdd) {
 
 TEST(MetricsTest, HistogramLogBucketsAndQuantiles) {
   Histogram* h = MetricsRegistry::Get().GetHistogram("test.metrics.hist");
-  h->Reset();
   // 100 small values and 1 huge outlier: p50 stays small, p99 region large.
   for (int i = 0; i < 100; ++i) h->Observe(100);  // bucket bit_width(100)=7
   h->Observe(1 << 20);
@@ -58,7 +56,6 @@ TEST(MetricsTest, HistogramLogBucketsAndQuantiles) {
 
 TEST(MetricsTest, HistogramNonPositiveValuesLandInBucketZero) {
   Histogram* h = MetricsRegistry::Get().GetHistogram("test.metrics.hist0");
-  h->Reset();
   h->Observe(0);
   h->Observe(-5);
   EXPECT_EQ(h->BucketCount(0), 2);
@@ -81,29 +78,69 @@ TEST(MetricsTest, ExportJsonIsWellFormed) {
   EXPECT_GE(hist->Find("count")->AsNumber(), 1);
 }
 
-// The Statistics facade rides on the registry: same counters, no mutex.
-TEST(MetricsTest, StatisticsFacadeSharesRegistry) {
-  Statistics::Get().Reset();
-  Statistics::Get().IncCounter("test.facade.counter", 9);
-  EXPECT_EQ(MetricsRegistry::Get().CounterValue("test.facade.counter"), 9);
-  MetricsRegistry::Get().GetCounter("test.facade.counter")->Add(1);
-  EXPECT_EQ(Statistics::Get().GetCounter("test.facade.counter"), 10);
+// A diff sums every Add since it was taken, through any pointer to the
+// counter, and covers histogram count/sum and instruction stats too.
+TEST(MetricsTest, DiffSumsCounterAdds) {
+  MetricsRegistry& reg = MetricsRegistry::Get();
+  reg.GetCounter("test.diff.counter")->Add(100);  // before the diff
+  MetricsDiff diff;
+  reg.GetCounter("test.diff.counter")->Add(9);
+  reg.GetCounter("test.diff.counter")->Add(1);
+  reg.GetHistogram("test.diff.hist")->Observe(40);
+  reg.GetInstrStat("test.diff.op")->count.Add(2);
+  MetricsSnapshot d = diff.Delta();
+  EXPECT_EQ(d.Counter("test.diff.counter"), 10);
+  EXPECT_EQ(d.Counter("test.diff.never_made"), 0);
+  EXPECT_EQ(d.Histogram("test.diff.hist").count, 1);
+  EXPECT_EQ(d.Histogram("test.diff.hist").sum, 40);
+  EXPECT_EQ(d.Instruction("test.diff.op").count, 2);
+  EXPECT_EQ(reg.CounterValue("test.diff.counter"), 110);
 }
 
+// `-stats` times instructions on whatever thread runs them; the report
+// shows one line per opcode with the sum over threads.
 TEST(MetricsTest, StatisticsInstructionTimesAggregate) {
-  Statistics::Get().Reset();
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
+      InstrStat* s = MetricsRegistry::Get().GetInstrStat("test.op");
       for (int i = 0; i < 1000; ++i) {
-        Statistics::Get().IncInstruction("test.op", 0.001);
+        s->count.Add(1);
+        s->nanos.Add(1000000);
       }
     });
   }
   for (auto& t : threads) t.join();
-  std::string report = Statistics::Get().Report();
-  EXPECT_NE(report.find("test.op\t4000\t"), std::string::npos);
+  std::string report = MetricsRegistry::Get().Report();
+  EXPECT_NE(report.find("test.op\t4000\t4\n"), std::string::npos) << report;
+}
+
+TEST(StatisticsTest, CountersAndReport) {
+  MetricsRegistry& reg = MetricsRegistry::Get();
+  reg.GetCounter("test.counter")->Add(5);
+  reg.GetCounter("test.counter")->Add(1);
+  reg.GetCounter("test.zero");  // created, never counted
+  EXPECT_EQ(reg.CounterValue("test.counter"), 6);
+  EXPECT_EQ(reg.CounterValue("missing"), 0);
+  auto time = [&](const std::string& opcode, int64_t nanos) {
+    InstrStat* s = reg.GetInstrStat(opcode);
+    s->count.Add(1);
+    s->nanos.Add(nanos);
+  };
+  time("test.report.slow", 500000000000);
+  time("test.report.slow", 250000000000);
+  time("test.report.fast", 100000000000);
+  reg.GetInstrStat("never.timed");
+  std::string report = reg.Report(1);
+  // Top-1 by time is the slow opcode; non-zero counters always shown.
+  EXPECT_NE(report.find("  test.report.slow\t2\t750\n"), std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("test.report.fast"), std::string::npos);
+  EXPECT_NE(report.find("Counters:\n"), std::string::npos);
+  EXPECT_NE(report.find("  test.counter\t6\n"), std::string::npos);
+  EXPECT_EQ(report.find("test.zero"), std::string::npos);
+  EXPECT_EQ(reg.Report().find("never.timed"), std::string::npos);
 }
 
 }  // namespace

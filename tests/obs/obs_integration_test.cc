@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "api/systemds_context.h"
 #include "common/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace sysds {
@@ -108,6 +111,60 @@ TEST(ObsIntegrationTest, MetricsExportWritesRegistryJson) {
   EXPECT_NE(doc->Find("gauges"), nullptr);
   EXPECT_NE(doc->Find("instructions"), nullptr);
   std::remove(metrics_path.c_str());
+}
+
+// The registry is monotonic, so a diff taken around one context's runs
+// counts exactly those runs while a second context runs, and diffs, at the
+// same time.
+TEST(ObsIntegrationTest, DiffIsUnaffectedByAConcurrentContext) {
+  auto a = SystemDSContext::Builder().Statistics().Build();
+  auto b = SystemDSContext::Builder().Statistics().Build();
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> b_runs{0};
+  std::atomic<bool> b_ok{true};
+  int64_t b_solves = -1;
+  std::thread other([&] {
+    obs::MetricsDiff diff;
+    while (!done.load()) {
+      auto r = b->Execute(
+          "A = matrix(\"4 1 1 3\", 2, 2)\n"
+          "y = matrix(\"1 2\", 2, 1)\n"
+          "s = sum(solve(A, y))\n",
+          Inputs(), Outputs("s"));
+      if (!r.ok()) {
+        b_ok.store(false);
+        break;
+      }
+      b_runs.fetch_add(1);
+    }
+    b_solves = diff.Delta().Instruction("solve").count;
+  });
+  while (b_ok.load() && b_runs.load() == 0) std::this_thread::yield();
+
+  constexpr int kRuns = 3;
+  obs::MetricsDiff diff;
+  bool a_ok = true;
+  for (int i = 0; i < kRuns; ++i) {
+    auto r = a->Execute(
+        "X = rand(rows=40, cols=5, seed=1)\n"
+        "R = matrix(0, 4, 1)\n"
+        "parfor (i in 1:4) {\n"
+        "  G = t(X) %*% X\n"
+        "  R[i, 1] = sum(G)\n"
+        "}\n"
+        "s = sum(R)\n",
+        Inputs(), Outputs("s"));
+    a_ok = a_ok && r.ok();
+  }
+  obs::MetricsSnapshot d = diff.Delta();
+  done.store(true);
+  other.join();
+
+  ASSERT_TRUE(a_ok);
+  ASSERT_TRUE(b_ok.load());
+  EXPECT_EQ(d.Counter("parfor.executions"), kRuns);
+  EXPECT_EQ(d.Instruction("tsmm").count, 4 * kRuns);
+  EXPECT_EQ(b_solves, b_runs.load());
 }
 
 }  // namespace

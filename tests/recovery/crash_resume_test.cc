@@ -28,10 +28,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-int64_t Counter(const std::string& name) {
-  return obs::MetricsRegistry::Get().CounterValue(name);
-}
-
 class TempDir {
  public:
   explicit TempDir(const std::string& tag) {
@@ -103,14 +99,14 @@ class CrashResumeTest
     FaultInjector::Get().Disable();
     // Scramble the process seed state: resume must restore the recorded one.
     SetSeedState({0xdeadULL, 0});
-    int64_t resumes_before = Counter("recovery.resumes");
+    obs::MetricsDiff diff;
     auto ctx = SystemDSContext::Builder()
                    .Checkpointing(dir)
                    .Resume()
                    .Build();
     auto resumed = ctx->Execute(script, Inputs(), Outputs(out));
     EXPECT_TRUE(resumed.ok()) << resumed.status();
-    EXPECT_GT(Counter("recovery.resumes"), resumes_before)
+    EXPECT_GT(diff.Counter("recovery.resumes"), 0)
         << "resume did not restore from a checkpoint";
     return *resumed->GetMatrix(out);
   }

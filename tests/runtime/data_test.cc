@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/statistics.h"
 #include "runtime/matrix/op_codes.h"
 
 namespace sysds {
@@ -79,24 +78,6 @@ TEST(OpCodesTest, RModuloSemantics) {
   EXPECT_DOUBLE_EQ(ApplyBinary(BinaryOpCode::kMod, -7, 3), 2.0);
   EXPECT_DOUBLE_EQ(ApplyBinary(BinaryOpCode::kMod, 7, -3), -2.0);
   EXPECT_TRUE(std::isnan(ApplyBinary(BinaryOpCode::kMod, 7, 0)));
-}
-
-TEST(StatisticsTest, CountersAndReport) {
-  Statistics::Get().Reset();
-  Statistics::Get().IncCounter("test.counter", 5);
-  Statistics::Get().IncCounter("test.counter");
-  EXPECT_EQ(Statistics::Get().GetCounter("test.counter"), 6);
-  EXPECT_EQ(Statistics::Get().GetCounter("missing"), 0);
-  Statistics::Get().IncInstruction("ba+*", 0.5);
-  Statistics::Get().IncInstruction("ba+*", 0.25);
-  Statistics::Get().IncInstruction("rand", 0.1);
-  std::string report = Statistics::Get().Report(1);
-  // Top-1 by time is ba+*; counters always shown.
-  EXPECT_NE(report.find("ba+*"), std::string::npos);
-  EXPECT_EQ(report.find("rand\t"), std::string::npos);
-  EXPECT_NE(report.find("test.counter"), std::string::npos);
-  Statistics::Get().Reset();
-  EXPECT_EQ(Statistics::Get().GetCounter("test.counter"), 0);
 }
 
 }  // namespace

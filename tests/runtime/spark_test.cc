@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "api/systemds_context.h"
-#include "common/statistics.h"
+#include "obs/metrics.h"
 #include "runtime/dist/blocked_matrix.h"
 #include "runtime/matrix/lib_datagen.h"
 #include "runtime/matrix/lib_elementwise.h"
@@ -102,14 +102,14 @@ TEST(SparkExecutionTest, ForcedSparkMatchesCp) {
   spark_config.force_spark = true;
   spark_config.block_size = 64;
   SystemDSContext spark(spark_config);
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r2 = spark.Execute(script, Inputs(), Outputs("s", "z"));
   ASSERT_TRUE(r2.ok()) << r2.status();
 
   EXPECT_NEAR(*r1->GetDouble("s"), *r2->GetDouble("s"), 1e-6);
   EXPECT_NEAR(*r1->GetDouble("z"), *r2->GetDouble("z"), 1e-6);
   // Spark path actually ran (reblocks recorded).
-  EXPECT_GT(Statistics::Get().GetCounter("spark.reblocks"), 0);
+  EXPECT_GT(diff.Counter("spark.reblocks"), 0);
 }
 
 TEST(SparkExecutionTest, MemoryBudgetTriggersSparkSelection) {
@@ -118,14 +118,14 @@ TEST(SparkExecutionTest, MemoryBudgetTriggersSparkSelection) {
   config.cp_memory_budget = 1024;  // 1KB: everything big goes SPARK
   config.block_size = 64;
   SystemDSContext ctx(config);
-  Statistics::Get().Reset();
+  obs::MetricsDiff diff;
   auto r = ctx.Execute(
       "X = rand(rows=200, cols=50, seed=1)\n"
       "A = t(X) %*% X\n"
       "s = sum(A)\n",
       Inputs(), Outputs("s"));
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_GT(Statistics::Get().GetCounter("spark.reblocks"), 0);
+  EXPECT_GT(diff.Counter("spark.reblocks"), 0);
 }
 
 }  // namespace

@@ -283,11 +283,9 @@ TEST(SchedulerTest, SkewedSparseMatMultBitIdentical) {
 }
 
 TEST(SchedulerTest, SchedulerMetricsAdvance) {
-  auto& reg = obs::MetricsRegistry::Get();
-  int64_t chunks_before = reg.GetCounter("scheduler.chunks")->Value();
-  int64_t tasks_before = reg.GetCounter("scheduler.tasks")->Value();
-  obs::Histogram* imb = reg.GetHistogram("scheduler.imbalance.sched_test");
-  int64_t imb_before = imb->Count();
+  obs::Histogram* imb = obs::MetricsRegistry::Get().GetHistogram(
+      "scheduler.imbalance.sched_test");
+  obs::MetricsDiff diff;
 
   std::atomic<int64_t> sum{0};
   ThreadPool::Global().ParallelFor(
@@ -296,11 +294,12 @@ TEST(SchedulerTest, SchedulerMetricsAdvance) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
         sum += e - b;
       },
-      "sched_test");
+      imb);
   EXPECT_EQ(sum.load(), 1024);
-  EXPECT_GT(reg.GetCounter("scheduler.chunks")->Value(), chunks_before);
-  EXPECT_GE(reg.GetCounter("scheduler.tasks")->Value(), tasks_before);
-  EXPECT_GT(imb->Count(), imb_before);
+  obs::MetricsSnapshot d = diff.Delta();
+  EXPECT_GT(d.Counter("scheduler.chunks"), 0);
+  EXPECT_GE(d.Counter("scheduler.tasks"), 0);
+  EXPECT_GT(d.Histogram("scheduler.imbalance.sched_test").count, 0);
 }
 
 // Distinct threads that executed the chunks of one 64-chunk loop capped at
@@ -358,18 +357,14 @@ TEST(SchedulerTest, NumThreadsOneContextRunsKernelsOnCaller) {
   auto ctx = SystemDSContext::Builder().NumThreads(1).Build();
   MatrixBlock x = Random(2000, 100, 1.0, 20);
   MatrixBlock w = Random(100, 10, 1.0, 21);
-  auto& reg = obs::MetricsRegistry::Get();
-  obs::Counter* tasks = reg.GetCounter("scheduler.tasks");
-  obs::Counter* steals = reg.GetCounter("scheduler.steals");
   DrainPool();
-  int64_t tasks_before = tasks->Value();
-  int64_t steals_before = steals->Value();
+  obs::MetricsDiff diff;
   auto r = ctx->Execute("G = t(X) %*% X\nP = X %*% W\n",
                         Inputs().Matrix("X", x).Matrix("W", w),
                         Outputs("G", "P"));
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(tasks->Value() - tasks_before, 0);
-  EXPECT_EQ(steals->Value() - steals_before, 0);
+  EXPECT_EQ(diff.Counter("scheduler.tasks"), 0);
+  EXPECT_EQ(diff.Counter("scheduler.steals"), 0);
   auto g = r->GetMatrix("G");
   auto p = r->GetMatrix("P");
   ASSERT_TRUE(g.ok() && p.ok());
@@ -387,17 +382,15 @@ TEST(SchedulerTest, ContextResultsBitIdenticalAcrossNumThreads) {
       "B = lmDS(X, y, 0, 0.001)\n"
       "R = rowSums(((X - 0.5) / 0.29)^2)\n"
       "s = sum(R)\n";
-  obs::Counter* regions =
-      obs::MetricsRegistry::Get().GetCounter("fusion.regions");
   const char* kMatrices[] = {"X", "B", "R"};
   std::vector<std::vector<MatrixBlock>> matrices;
   std::vector<double> sums;
   for (int t : {1, 2, 4}) {
     auto ctx = SystemDSContext::Builder().NumThreads(t).Build();
-    int64_t regions_before = regions->Value();
+    obs::MetricsDiff diff;
     auto r = ctx->Execute(script, Inputs(), Outputs("X", "B", "R", "s"));
     ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_GT(regions->Value(), regions_before) << "no fused region, t=" << t;
+    EXPECT_GT(diff.Counter("fusion.regions"), 0) << "no fused region, t=" << t;
     matrices.emplace_back();
     for (const char* name : kMatrices) {
       auto m = r->GetMatrix(name);

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace sysds {
 namespace serve {
 namespace {
@@ -194,6 +196,61 @@ TEST(ScoringServiceTest, ShutdownDrainsAdmittedRequests) {
   auto late = svc.Score("m", Inputs().Matrix("X", MatrixBlock::Dense(2, 2)));
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
+}
+
+// A submit after Shutdown is rejected, and the service's own count and the
+// registry's serve.rejected both record it.
+TEST(ScoringServiceTest, ShutdownRejectionIsCountedInStatsAndRegistry) {
+  ScoringService svc;
+  svc.Shutdown();
+  obs::MetricsDiff diff;
+  auto r = svc.Score("m", Inputs());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(svc.Stats().rejected, 1);
+  EXPECT_EQ(diff.Counter("serve.rejected"), svc.Stats().rejected);
+}
+
+// serve.queue_depth is the sum of the queues of every live service.
+TEST(ScoringServiceTest, QueueDepthGaugeSumsOverServices) {
+  auto ctx = SystemDSContext::Builder().Build();
+  auto slow = PrepareModel(*ctx, kSlowScript, {{"n", IntInfo()}});
+  ASSERT_NE(slow, nullptr);
+  obs::Gauge* depth =
+      obs::MetricsRegistry::Get().GetGauge("serve.queue_depth");
+  const int64_t base = depth->Value();
+
+  ServiceOptions opts;
+  opts.num_workers = 1;
+  ScoringService s1(opts);
+  ScoringService s2(opts);
+  ASSERT_TRUE(s1.RegisterModel("slow", slow, {"acc"}).ok());
+  ASSERT_TRUE(s2.RegisterModel("slow", slow, {"acc"}).ok());
+
+  // Occupy each service's one worker, then queue 2 requests on s1 and 3 on
+  // s2 behind it.
+  RequestOptions blocker_opts;
+  blocker_opts.cancel = std::make_shared<CancellationToken>();
+  auto b1 = s1.Submit("slow", Inputs().Integer("n", 2000000000), blocker_opts);
+  auto b2 = s2.Submit("slow", Inputs().Integer("n", 2000000000), blocker_opts);
+  ASSERT_TRUE(WaitUntil(
+      [&] { return s1.QueueDepth() == 0 && s2.QueueDepth() == 0; }));
+  std::vector<std::future<StatusOr<ScriptResult>>> queued;
+  for (int i = 0; i < 2; ++i) {
+    queued.push_back(s1.Submit("slow", Inputs().Integer("n", 1)));
+  }
+  for (int i = 0; i < 3; ++i) {
+    queued.push_back(s2.Submit("slow", Inputs().Integer("n", 1)));
+  }
+  EXPECT_EQ(s1.QueueDepth(), 2);
+  EXPECT_EQ(s2.QueueDepth(), 3);
+  EXPECT_EQ(depth->Value() - base, 5);
+
+  blocker_opts.cancel->Cancel();
+  for (auto& f : queued) EXPECT_TRUE(f.get().ok());
+  b1.get();
+  b2.get();
+  EXPECT_EQ(depth->Value(), base);
 }
 
 TEST(ScoringServiceTest, MicroBatchingStacksSingleRowRequests) {

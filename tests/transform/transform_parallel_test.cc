@@ -284,17 +284,18 @@ TEST(TransformParallelTest, DecodeInvertsParallelEncode) {
   }
 }
 
-TEST(TransformParallelTest, DeprecatedDenseShimStillWorks) {
+TEST(TransformParallelTest, DefaultOptionsEncodeDense) {
   FrameBlock f = RandomFrame(500, 1);
   auto spec = ParseTransformSpec(R"({"recode":["city"]})", f);
   ASSERT_TRUE(spec.ok());
   auto enc = MultiColumnEncoder::Fit(f, *spec);
   ASSERT_TRUE(enc.ok());
-  auto old_api = enc->Apply(f);  // deprecated dense-only overload
-  ASSERT_TRUE(old_api.ok());
+  auto out = enc->Apply(f, {});
+  ASSERT_TRUE(out.ok());
+  ASSERT_FALSE(out->IsCompressed());
   auto ref = enc->ApplyReferenceSerial(f);
   ASSERT_TRUE(ref.ok());
-  ExpectBitIdentical(*old_api, *ref);
+  ExpectBitIdentical(out->Dense(), *ref);
 }
 
 TEST(TransformParallelTest, EncodedOutputAccessorsAndShapes) {
