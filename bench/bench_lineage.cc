@@ -6,7 +6,10 @@
 //      reuse serves exact recomputations; partial reuse additionally
 //      serves t(X)%*%X over column-augmented X via compensation plans,
 //      which is the dominant redundancy in forward feature selection.
-
+//
+// Exits non-zero if a script fails, if full+partial reuse records no
+// partial hit, or if steplm's selection S differs between policies.
+// `--smoke` runs at the tiny scale, for CI.
 #include <cstdio>
 
 #include "api/systemds_context.h"
@@ -19,26 +22,41 @@ using namespace sysds;
 
 namespace {
 
+int g_failures = 0;
+
+// Runs `script` on a fresh context; returns the seconds taken, or -1 after
+// reporting the error. `output` names a matrix to return in `*value`.
 double RunScript(const std::string& script, ReusePolicy policy, bool tracing,
-                 LineageCacheStats* stats_out) {
+                 LineageCacheStats* stats_out, const char* output = nullptr,
+                 MatrixBlock* value = nullptr) {
   DMLConfig config;
   config.reuse_policy = policy;
   config.lineage_tracing = tracing;
   SystemDSContext ctx(config);
   Timer timer;
-  auto r = ctx.Execute(script, Inputs(), Outputs::None());
-  if (!r.ok()) {
-    std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
+  auto r = ctx.Execute(script, Inputs(),
+                       output == nullptr ? Outputs::None() : Outputs(output));
+  double seconds = timer.ElapsedSeconds();
+  Status status = r.status();
+  if (status.ok() && output != nullptr) {
+    auto m = r->GetMatrix(output);
+    status = m.status();
+    if (m.ok()) *value = std::move(*m);
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    ++g_failures;
     return -1;
   }
   if (stats_out != nullptr) *stats_out = ctx.Cache()->Stats();
-  return timer.ElapsedSeconds();
+  return seconds;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace sysds_bench;
+  ApplySmokeFlag(argc, argv);
   Scale scale = GetScale();
 
   // (1) Tracing overhead on an iteration-heavy script.
@@ -68,17 +86,31 @@ int main() {
   std::printf("%-28s%14s%12s%12s\n", "policy", "seconds", "full_hits",
               "partial");
   LineageCacheStats stats;
-  double none = RunScript(steplm_script, ReusePolicy::kNone, false, &stats);
+  MatrixBlock s_none, s_full, s_partial;
+  double none = RunScript(steplm_script, ReusePolicy::kNone, false, &stats,
+                          "S", &s_none);
   std::printf("%-28s%14.4f%12s%12s\n", "none", none, "-", "-");
-  double full = RunScript(steplm_script, ReusePolicy::kFull, true, &stats);
+  double full = RunScript(steplm_script, ReusePolicy::kFull, true, &stats,
+                          "S", &s_full);
   std::printf("%-28s%14.4f%12lld%12lld\n", "full", full,
               static_cast<long long>(stats.full_hits),
               static_cast<long long>(stats.partial_hits));
-  double partial =
-      RunScript(steplm_script, ReusePolicy::kPartial, true, &stats);
+  double partial = RunScript(steplm_script, ReusePolicy::kPartial, true,
+                             &stats, "S", &s_partial);
   std::printf("%-28s%14.4f%12lld%12lld\n", "full+partial", partial,
               static_cast<long long>(stats.full_hits),
               static_cast<long long>(stats.partial_hits));
+  if (partial >= 0 && stats.partial_hits == 0) {
+    std::fprintf(stderr, "error: full+partial reuse recorded no partial "
+                         "hit\n");
+    ++g_failures;
+  }
+  if (none >= 0 && full >= 0 && partial >= 0 &&
+      (!s_full.EqualsApprox(s_none, 0) ||
+       !s_partial.EqualsApprox(s_none, 0))) {
+    std::fprintf(stderr, "error: steplm's S differs between policies\n");
+    ++g_failures;
+  }
 
   // (3) Loop deduplication: trace size with and without dedup.
   {
@@ -94,11 +126,20 @@ int main() {
       config.lineage_tracing = true;
       config.lineage_dedup = dedup;
       auto prog = CompileDML(script, config, {});
-      if (!prog.ok()) return -1;
-      ExecutionContext ec(prog->get(), &config);
-      if (!(*prog)->Execute(&ec).ok()) return -1;
-      LineageItemPtr item = ec.Lineage()->GetOrNull("acc");
-      return item == nullptr ? -1 : item->NodeCount();
+      Status status = prog.status();
+      LineageItemPtr item;
+      if (status.ok()) {
+        ExecutionContext ec(prog->get(), &config);
+        status = (*prog)->Execute(&ec);
+        item = ec.Lineage()->GetOrNull("acc");
+      }
+      if (!status.ok() || item == nullptr) {
+        std::fprintf(stderr, "error: dedup trace: %s\n",
+                     status.ToString().c_str());
+        ++g_failures;
+        return int64_t{-1};
+      }
+      return item->NodeCount();
     };
     std::printf("\n# A2.3 loop deduplication (200-iteration loop)\n");
     std::printf("%-28s%14lld nodes\n", "full trace",
@@ -106,5 +147,5 @@ int main() {
     std::printf("%-28s%14lld nodes\n", "deduplicated trace",
                 static_cast<long long>(trace_size(true)));
   }
-  return 0;
+  return g_failures == 0 ? 0 : 1;
 }

@@ -110,14 +110,17 @@ int main() {
     auto ctx = SystemDSContext::Builder().NumThreads(1).Reuse(policy).Build();
     auto model = PrepareModel(*ctx, reuse_script);
     if (model == nullptr) return 1;
-    ctx->Cache()->ResetStats();
+    // The cache's counters only grow: the served run is the difference of
+    // the snapshots around it.
+    const LineageCacheStats before = ctx->Cache()->Stats();
     double rps = DriveService(model, 4, requests, weights, rows);
-    LineageCacheStats stats = ctx->Cache()->Stats();
-    double hit_rate =
-        stats.probes > 0
-            ? static_cast<double>(stats.full_hits + stats.partial_hits) /
-                  static_cast<double>(stats.probes)
-            : 0.0;
+    const LineageCacheStats after = ctx->Cache()->Stats();
+    const int64_t probes = after.probes - before.probes;
+    const int64_t hits = (after.full_hits - before.full_hits) +
+                         (after.partial_hits - before.partial_hits);
+    double hit_rate = probes > 0 ? static_cast<double>(hits) /
+                                       static_cast<double>(probes)
+                                 : 0.0;
     std::printf("%-22s%14.0f%13.1f%%\n",
                 policy == ReusePolicy::kNone ? "none" : "full", rps,
                 hit_rate * 100.0);

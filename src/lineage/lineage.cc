@@ -300,16 +300,6 @@ LineageCacheStats LineageCache::Stats() const {
   return stats;
 }
 
-void LineageCache::ResetStats() {
-  probes_.store(0, std::memory_order_relaxed);
-  full_hits_.store(0, std::memory_order_relaxed);
-  partial_hits_.store(0, std::memory_order_relaxed);
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.puts = s.evictions = 0;
-  }
-}
-
 void LineageCache::Clear() {
   for (Shard& s : shards_) {
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -322,6 +312,71 @@ void LineageCache::Clear() {
     // is re-proven empty by the summary.
   }
 }
+
+namespace {
+// Copies `src` into the dense block `out` with its first cell at (r0, c0).
+void CopyInto(const MatrixBlock& src, int64_t r0, int64_t c0,
+              MatrixBlock* out) {
+  for (int64_t r = 0; r < src.Rows(); ++r) {
+    double* orow = out->DenseRow(r0 + r) + c0;
+    if (!src.IsSparse()) {
+      std::copy(src.DenseRow(r), src.DenseRow(r) + src.Cols(), orow);
+    } else {
+      const SparseRow& row = src.SparseData().Row(r);
+      for (int64_t q = 0; q < row.Size(); ++q) {
+        orow[row.Indexes()[q]] = row.Values()[q];
+      }
+    }
+  }
+}
+
+// tsmm(X) for X = cbind(A, v) from c = tsmm(A). One pass over X computes
+// w = t(X)%*%v: its first p rows are t(A)%*%v and its last k rows
+// t(v)%*%v, so only v is sliced and A is never copied.
+StatusOr<MatrixBlock> CompensateTsmm(const MatrixBlock& c,
+                                     const MatrixBlock& x, int threads) {
+  const int64_t n = x.Cols(), p = c.Rows(), k = n - p;
+  if (c.Cols() != p || k < 1) {
+    return InvalidArgument("tsmm compensation: cached block does not fit X");
+  }
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock v,
+                         SliceMatrix(x, 0, x.Rows() - 1, p, n - 1));
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock w, TransposeLeftMatMult(x, v, threads));
+  w.ToDense();
+  MatrixBlock out = MatrixBlock::Dense(n, n);
+  CopyInto(c, 0, 0, &out);
+  for (int64_t i = 0; i < p; ++i) {
+    const double* wrow = w.DenseRow(i);
+    std::copy(wrow, wrow + k, out.DenseRow(i) + p);
+    for (int64_t j = 0; j < k; ++j) out.DenseRow(p + j)[i] = wrow[j];
+  }
+  // t(v)%*%v from its upper triangle, so the output is exactly symmetric.
+  for (int64_t i = 0; i < k; ++i) {
+    for (int64_t j = i; j < k; ++j) {
+      const double s = w.DenseRow(p + i)[j];
+      out.DenseRow(p + i)[p + j] = s;
+      out.DenseRow(p + j)[p + i] = s;
+    }
+  }
+  out.MarkNnzDirty();
+  return out;
+}
+
+// tmm(X, y) for X = cbind(A, v) from c = tmm(A, y):
+// rbind(c, t(v)%*%y), again slicing only v.
+StatusOr<MatrixBlock> CompensateTmm(const MatrixBlock& c,
+                                    const MatrixBlock& x,
+                                    const MatrixBlock& y, int threads) {
+  const int64_t n = x.Cols(), p = c.Rows();
+  if (p >= n) {
+    return InvalidArgument("tmm compensation: cached block does not fit X");
+  }
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock v,
+                         SliceMatrix(x, 0, x.Rows() - 1, p, n - 1));
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock vty, TransposeLeftMatMult(v, y, threads));
+  return RBind({&c, &vty});
+}
+}  // namespace
 
 StatusOr<DataPtr> LineageCache::ProbePartial(const Instruction& instr,
                                              const LineageItemPtr& item,
@@ -339,13 +394,15 @@ StatusOr<DataPtr> LineageCache::ProbePartial(const Instruction& instr,
   if (xi->opcode() != "cbind" || xi->inputs().size() != 2) {
     return DataPtr(nullptr);
   }
-  // The appended part must be a single column; we verify via the runtime
-  // value of X below (last column split).
+  // The appended width is whatever X has beyond the cached prefix; it is
+  // read from the runtime values below.
   LineageItemPtr probe_item;
   if (op == "tsmm") {
     probe_item = LineageItem::Node("tsmm", {xi->inputs()[0]});
   } else {
-    if (item->inputs().size() < 2) return DataPtr(nullptr);
+    if (item->inputs().size() < 2 || instr.inputs().size() < 2) {
+      return DataPtr(nullptr);
+    }
     probe_item = LineageItem::Node("tmm", {xi->inputs()[0],
                                            item->inputs()[1]});
   }
@@ -357,94 +414,34 @@ StatusOr<DataPtr> LineageCache::ProbePartial(const Instruction& instr,
   auto* cached = dynamic_cast<MatrixObject*>(cached_value.get());
   if (cached == nullptr) return DataPtr(nullptr);
 
-  // Compensation plan over the current X (and y for tmm).
-  SYSDS_ASSIGN_OR_RETURN(MatrixObject * xobj,
-                         ec->GetMatrix(instr.inputs()[0]));
-  // A pin failure here is a reuse miss, not a probe error: returning null
-  // routes the instruction to normal execution, which surfaces the error.
-  auto x_or = xobj->AcquireRead();
-  if (!x_or.ok()) return DataPtr(nullptr);
-  const MatrixBlock& x = **x_or;
-  int64_t n = x.Cols();
-  auto c_or = cached->AcquireRead();
-  if (!c_or.ok()) {
-    xobj->Release();
-    return DataPtr(nullptr);
+  // Compensation plan over the cached block, the current X and (for tmm)
+  // y. A pin or plan failure here is a reuse miss, not a probe error:
+  // returning null routes the instruction to normal execution, which
+  // surfaces the error.
+  std::vector<MatrixObject*> objs = {cached};
+  const size_t operands = op == "tsmm" ? 1 : 2;
+  for (size_t i = 0; i < operands; ++i) {
+    SYSDS_ASSIGN_OR_RETURN(MatrixObject * obj,
+                           ec->GetMatrix(instr.inputs()[i]));
+    objs.push_back(obj);
   }
-  const MatrixBlock& c = **c_or;
-  auto release = [&]() {
-    xobj->Release();
-    cached->Release();
-  };
-  // The cached block must match the prefix width of X minus the appended
-  // column(s).
-  int64_t appended = op == "tsmm" ? n - c.Rows() : n - c.Rows();
-  if (appended < 1) {
-    release();
-    return DataPtr(nullptr);
+  std::vector<const MatrixBlock*> blocks;
+  for (MatrixObject* obj : objs) {
+    auto block = obj->AcquireRead();
+    if (!block.ok()) break;
+    blocks.push_back(*block);
   }
-  auto prefix_or = SliceMatrix(x, 0, x.Rows() - 1, 0, n - appended - 1);
-  auto suffix_or = SliceMatrix(x, 0, x.Rows() - 1, n - appended, n - 1);
-  if (!prefix_or.ok() || !suffix_or.ok()) {
-    release();
-    return DataPtr(nullptr);
+  StatusOr<MatrixBlock> out = InvalidArgument("partial reuse: pin failed");
+  if (blocks.size() == objs.size()) {
+    const int threads = ec->NumThreads();
+    out = op == "tsmm"
+              ? CompensateTsmm(*blocks[0], *blocks[1], threads)
+              : CompensateTmm(*blocks[0], *blocks[1], *blocks[2], threads);
   }
-  const MatrixBlock& a = *prefix_or;
-  const MatrixBlock& v = *suffix_or;
-  int threads = ec->NumThreads();
-
-  if (op == "tsmm") {
-    // w = t(A)%*%v (n-k x k), s = t(v)%*%v (k x k).
-    auto w_or = TransposeLeftMatMult(a, v, threads);
-    auto s_or = TransposeSelfMatMult(v, /*left=*/true, threads);
-    if (!w_or.ok() || !s_or.ok()) {
-      release();
-      return DataPtr(nullptr);
-    }
-    int64_t m = n;
-    MatrixBlock out = MatrixBlock::Dense(m, m);
-    int64_t p = c.Rows();
-    for (int64_t i = 0; i < p; ++i) {
-      for (int64_t j = 0; j < p; ++j) out.DenseRow(i)[j] = c.Get(i, j);
-      for (int64_t j = 0; j < appended; ++j) {
-        out.DenseRow(i)[p + j] = w_or->Get(i, j);
-        out.DenseRow(p + j)[i] = w_or->Get(i, j);
-      }
-    }
-    for (int64_t i = 0; i < appended; ++i) {
-      for (int64_t j = 0; j < appended; ++j) {
-        out.DenseRow(p + i)[p + j] = s_or->Get(i, j);
-      }
-    }
-    out.MarkNnzDirty();
-    release();
-    partial_hits_.fetch_add(1, std::memory_order_relaxed);
-    DataPtr result = std::make_shared<MatrixObject>(std::move(out));
-    Put(item, result);
-    return result;
-  }
-
-  // tmm: out = rbind(cached, t(v)%*%y).
-  SYSDS_ASSIGN_OR_RETURN(MatrixObject * yobj,
-                         ec->GetMatrix(instr.inputs()[1]));
-  auto y_or = yobj->AcquireRead();
-  if (!y_or.ok()) {
-    release();
-    return DataPtr(nullptr);
-  }
-  const MatrixBlock& y = **y_or;
-  auto vty_or = TransposeLeftMatMult(v, y, threads);
-  yobj->Release();
-  if (!vty_or.ok()) {
-    release();
-    return DataPtr(nullptr);
-  }
-  std::vector<const MatrixBlock*> parts = {&c, &*vty_or};
-  auto out_or = RBind(parts);
-  release();
-  if (!out_or.ok()) return DataPtr(nullptr);
+  for (size_t i = 0; i < blocks.size(); ++i) objs[i]->Release();
+  if (!out.ok()) return DataPtr(nullptr);
   partial_hits_.fetch_add(1, std::memory_order_relaxed);
-  DataPtr result = std::make_shared<MatrixObject>(std::move(*out_or));
+  DataPtr result = std::make_shared<MatrixObject>(std::move(*out));
   Put(item, result);
   return result;
 }

@@ -142,10 +142,10 @@ class LineageCache {
   /// LRU eviction).
   void Put(const LineageItemPtr& item, const DataPtr& value);
 
-  /// Aggregated snapshot over all shards (counters are exact; `bytes` is
-  /// the current occupancy).
+  /// Aggregated snapshot over all shards (counters are exact and only
+  /// grow, so a run's activity is the difference of two snapshots; `bytes`
+  /// is the current occupancy).
   LineageCacheStats Stats() const;
-  void ResetStats();
   void Clear();
 
  private:

@@ -135,14 +135,17 @@ class DataGenInstr final : public Instruction {
   bool IsReusable() const override { return true; }
 };
 
-/// cbind / rbind over n matrices.
+/// cbind / rbind over n matrices. Outputs are traced but not cached: a
+/// cached append saves one copy of its inputs yet pins a block as large as
+/// all of them, and partial reuse matches on the append's lineage item,
+/// not on its value.
 class AppendInstr final : public Instruction {
  public:
   explicit AppendInstr(bool cbind)
       : Instruction(cbind ? "cbind" : "rbind", ExecType::kCP),
         cbind_(cbind) {}
   Status Execute(ExecutionContext* ec) override;
-  bool IsReusable() const override { return true; }
+  bool IsReusable() const override { return false; }
 
  private:
   bool cbind_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "api/systemds_context.h"
+#include "compiler/compiler.h"
+#include "runtime/controlprog/program.h"
 
 namespace sysds {
 namespace {
@@ -126,6 +128,101 @@ TEST(LineageReuseTest, PartialReuseCompensationCorrect) {
   auto r2 = ctx_on.Execute(script, Inputs(), Outputs("A2"));
   ASSERT_TRUE(r2.ok()) << r2.status();
   EXPECT_TRUE(r1->GetMatrix("A2")->EqualsApprox(*r2->GetMatrix("A2"), 1e-9));
+  EXPECT_GE(ctx_on.Cache()->Stats().partial_hits, 1);
+}
+
+// Runs `script` with reuse off and with partial reuse; `out` must agree
+// within 1e-9 and the partial run must have served a compensation plan.
+void ExpectPartialReuseMatches(const char* script, const char* out) {
+  DMLConfig off;
+  SystemDSContext ctx_off(off);
+  auto r1 = ctx_off.Execute(script, Inputs(), Outputs(out));
+  ASSERT_TRUE(r1.ok()) << r1.status();
+
+  DMLConfig on;
+  on.reuse_policy = ReusePolicy::kPartial;
+  SystemDSContext ctx_on(on);
+  auto r2 = ctx_on.Execute(script, Inputs(), Outputs(out));
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_TRUE(r1->GetMatrix(out)->EqualsApprox(*r2->GetMatrix(out), 1e-9));
+  EXPECT_GE(ctx_on.Cache()->Stats().partial_hits, 1);
+}
+
+TEST(LineageReuseTest, PartialReuseTwoAppendedColumns) {
+  ExpectPartialReuseMatches(
+      "X = rand(rows=200, cols=6, seed=7)\n"
+      "Xg = X[, 1:3]\n"
+      "A1 = t(Xg) %*% Xg\n"
+      "Xi = cbind(Xg, X[, 4:5])\n"
+      "A2 = t(Xi) %*% Xi\n",
+      "A2");
+}
+
+TEST(LineageReuseTest, PartialReuseSparseX) {
+  ExpectPartialReuseMatches(
+      "X = rand(rows=300, cols=8, sparsity=0.1, seed=3)\n"
+      "Xg = X[, 1:5]\n"
+      "A1 = t(Xg) %*% Xg\n"
+      "Xi = cbind(Xg, X[, 7])\n"
+      "A2 = t(Xi) %*% Xi\n",
+      "A2");
+}
+
+TEST(LineageReuseTest, PartialReuseTmm) {
+  ExpectPartialReuseMatches(
+      "X = rand(rows=200, cols=6, seed=7)\n"
+      "y = rand(rows=200, cols=1, seed=8)\n"
+      "Xg = X[, 1:3]\n"
+      "b1 = t(Xg) %*% y\n"
+      "Xi = cbind(Xg, X[, 5])\n"
+      "b2 = t(Xi) %*% y\n",
+      "b2");
+}
+
+TEST(LineageReuseTest, AppendOutputsTracedButNotCached) {
+  const char* script =
+      "X = rand(rows=100, cols=4, seed=1)\n"
+      "Y = cbind(X, X)\n"
+      "Z = t(Y) %*% Y\n"
+      "s = sum(Z)\n";
+  DMLConfig config;
+  config.lineage_tracing = true;
+  config.reuse_policy = ReusePolicy::kPartial;
+  auto prog = CompileDML(script, config, {});
+  ASSERT_TRUE(prog.ok()) << prog.status();
+  LineageCache cache(64 << 20, ReusePolicy::kPartial);
+  ExecutionContext ec(prog->get(), &config);
+  ec.SetCache(&cache);
+  ASSERT_TRUE((*prog)->Execute(&ec).ok());
+  LineageItemPtr y = ec.Lineage()->GetOrNull("Y");
+  LineageItemPtr z = ec.Lineage()->GetOrNull("Z");
+  ASSERT_NE(y, nullptr);
+  ASSERT_NE(z, nullptr);
+  EXPECT_EQ(y->opcode(), "cbind");
+  EXPECT_EQ(cache.Probe(y), nullptr);
+  // The tsmm over the append is cached under a lineage that still holds
+  // the traced cbind.
+  EXPECT_NE(cache.Probe(z), nullptr);
+  EXPECT_EQ(z->inputs()[0]->hash(), y->hash());
+}
+
+TEST(LineageReuseTest, SteplmSelectionSameWithPartialReuse) {
+  const char* script =
+      "X = rand(rows=500, cols=12, seed=2)\n"
+      "y = 3*X[,2] - 2*X[,5] + 0.5*X[,9] + 0.1*X[,11]\n"
+      "[B, S] = steplm(X, y, 0, 0.0001)\n";
+  DMLConfig off;
+  SystemDSContext ctx_off(off);
+  auto r1 = ctx_off.Execute(script, Inputs(), Outputs("B", "S"));
+  ASSERT_TRUE(r1.ok()) << r1.status();
+
+  DMLConfig on;
+  on.reuse_policy = ReusePolicy::kPartial;
+  SystemDSContext ctx_on(on);
+  auto r2 = ctx_on.Execute(script, Inputs(), Outputs("B", "S"));
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_TRUE(r1->GetMatrix("S")->EqualsApprox(*r2->GetMatrix("S"), 0));
+  EXPECT_TRUE(r1->GetMatrix("B")->EqualsApprox(*r2->GetMatrix("B"), 1e-9));
   EXPECT_GE(ctx_on.Cache()->Stats().partial_hits, 1);
 }
 

@@ -93,6 +93,82 @@ TEST(CBindTest, ThreeInputsIncludingSparse) {
   EXPECT_DOUBLE_EQ(out->Get(1, 3), 4.0);
 }
 
+// cbind(inputs) must hold every input cell in place, carry the nnz a
+// recount gives, and be in the format ExamSparsity() picks on that recount.
+void ExpectCBindOf(const std::vector<const MatrixBlock*>& inputs) {
+  auto out = CBind(inputs);
+  ASSERT_TRUE(out.ok()) << out.status();
+  int64_t coff = 0, mismatches = 0;
+  for (const MatrixBlock* m : inputs) {
+    for (int64_t r = 0; r < m->Rows(); ++r) {
+      for (int64_t j = 0; j < m->Cols(); ++j) {
+        mismatches += out->Get(r, coff + j) != m->Get(r, j);
+      }
+    }
+    coff += m->Cols();
+  }
+  EXPECT_EQ(out->Rows(), inputs[0]->Rows());
+  EXPECT_EQ(out->Cols(), coff);
+  EXPECT_EQ(mismatches, 0);
+  MatrixBlock recount = *out;
+  recount.ExamSparsity();
+  EXPECT_EQ(out->NonZeros(), recount.NonZeros());
+  EXPECT_EQ(out->IsSparse(), recount.IsSparse());
+}
+
+MatrixBlock RandIn(int64_t rows, int64_t cols, double sparsity, int seed,
+                   bool sparse) {
+  MatrixBlock m = *RandMatrix(rows, cols, -1, 1, sparsity, seed,
+                              RandPdf::kUniform, 1);
+  if (sparse) {
+    m.ToSparse();
+  } else {
+    m.ToDense();
+  }
+  return m;
+}
+
+TEST(CBindTest, DenseDense) {
+  MatrixBlock a = RandIn(300, 7, 1.0, 1, false);
+  MatrixBlock b = RandIn(300, 5, 0.5, 2, false);
+  ExpectCBindOf({&a, &b});
+  EXPECT_FALSE(CBind({&a, &b})->IsSparse());
+}
+
+TEST(CBindTest, DenseSparse) {
+  // Dense-dominated: the sparse input is scattered into a dense output.
+  MatrixBlock a = RandIn(300, 20, 1.0, 3, false);
+  MatrixBlock b = RandIn(300, 10, 0.1, 4, true);
+  ExpectCBindOf({&a, &b});
+  ExpectCBindOf({&b, &a});
+  EXPECT_FALSE(CBind({&a, &b})->IsSparse());
+  // Sparse-dominated: the dense input's nonzeros go into a sparse output.
+  MatrixBlock narrow = RandIn(300, 2, 1.0, 5, false);
+  MatrixBlock wide = RandIn(300, 40, 0.05, 6, true);
+  ExpectCBindOf({&narrow, &wide});
+  ExpectCBindOf({&wide, &narrow});
+  EXPECT_TRUE(CBind({&wide, &narrow})->IsSparse());
+}
+
+TEST(CBindTest, SparseSparseStaysSparse) {
+  MatrixBlock a = RandIn(200, 30, 0.1, 7, true);
+  MatrixBlock b = RandIn(200, 30, 0.1, 8, true);
+  ExpectCBindOf({&a, &b});
+  EXPECT_TRUE(CBind({&a, &b})->IsSparse());
+}
+
+TEST(CBindTest, OneColumnAppend) {
+  // The steplm candidate shape: cbind(Xg, X[, i]), with zeros in the
+  // appended column.
+  MatrixBlock xg = RandIn(500, 6, 1.0, 9, false);
+  MatrixBlock v = RandIn(500, 1, 0.7, 10, false);
+  ExpectCBindOf({&xg, &v});
+  auto out = CBind({&xg, &v});
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->Cols(), 7);
+  EXPECT_EQ(out->NonZeros(), xg.NonZeros() + v.NonZeros());
+}
+
 TEST(SliceTest, RangesAndBoundsChecks) {
   MatrixBlock m = MatrixBlock::FromValues(4, 4, {1, 2, 3, 4,
                                                  5, 6, 7, 8,
