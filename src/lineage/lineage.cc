@@ -314,22 +314,6 @@ void LineageCache::Clear() {
 }
 
 namespace {
-// Copies `src` into the dense block `out` with its first cell at (r0, c0).
-void CopyInto(const MatrixBlock& src, int64_t r0, int64_t c0,
-              MatrixBlock* out) {
-  for (int64_t r = 0; r < src.Rows(); ++r) {
-    double* orow = out->DenseRow(r0 + r) + c0;
-    if (!src.IsSparse()) {
-      std::copy(src.DenseRow(r), src.DenseRow(r) + src.Cols(), orow);
-    } else {
-      const SparseRow& row = src.SparseData().Row(r);
-      for (int64_t q = 0; q < row.Size(); ++q) {
-        orow[row.Indexes()[q]] = row.Values()[q];
-      }
-    }
-  }
-}
-
 // tsmm(X) for X = cbind(A, v) from c = tsmm(A). One pass over X computes
 // w = t(X)%*%v: its first p rows are t(A)%*%v and its last k rows
 // t(v)%*%v, so only v is sliced and A is never copied.
@@ -344,10 +328,18 @@ StatusOr<MatrixBlock> CompensateTsmm(const MatrixBlock& c,
   SYSDS_ASSIGN_OR_RETURN(MatrixBlock w, TransposeLeftMatMult(x, v, threads));
   w.ToDense();
   MatrixBlock out = MatrixBlock::Dense(n, n);
-  CopyInto(c, 0, 0, &out);
   for (int64_t i = 0; i < p; ++i) {
+    double* orow = out.DenseRow(i);
+    if (!c.IsSparse()) {
+      std::copy(c.DenseRow(i), c.DenseRow(i) + p, orow);
+    } else {
+      const SparseRow& row = c.SparseData().Row(i);
+      for (int64_t q = 0; q < row.Size(); ++q) {
+        orow[row.Indexes()[q]] = row.Values()[q];
+      }
+    }
     const double* wrow = w.DenseRow(i);
-    std::copy(wrow, wrow + k, out.DenseRow(i) + p);
+    std::copy(wrow, wrow + k, orow + p);
     for (int64_t j = 0; j < k; ++j) out.DenseRow(p + j)[i] = wrow[j];
   }
   // t(v)%*%v from its upper triangle, so the output is exactly symmetric.

@@ -102,35 +102,10 @@ StatusOr<MatrixBlock> CBind(const std::vector<const MatrixBlock*>& inputs) {
     cols += m->Cols();
     nnz += m->NonZeros();
   }
-  // The output's nnz is the inputs' sum, so its format is known up front:
-  // one row loop writes each output cell once and nothing rescans it.
-  // Serial on purpose: cbind's hot caller is a parfor body whose workers
-  // already occupy every core.
-  double cells = static_cast<double>(rows) * static_cast<double>(cols);
-  double sparsity = cells > 0 ? static_cast<double>(nnz) / cells : 0.0;
-  if (MatrixBlock::EvalSparseFormat(rows, cols, sparsity)) {
-    MatrixBlock c = MatrixBlock::Sparse(rows, cols);
-    for (int64_t r = 0; r < rows; ++r) {
-      SparseRow& crow = c.SparseData().Row(r);
-      int64_t coff = 0;
-      for (const MatrixBlock* m : inputs) {
-        if (!m->IsSparse()) {
-          const double* arow = m->DenseRow(r);
-          for (int64_t j = 0; j < m->Cols(); ++j) {
-            if (arow[j] != 0.0) crow.Append(coff + j, arow[j]);
-          }
-        } else {
-          const SparseRow& row = m->SparseData().Row(r);
-          for (int64_t p = 0; p < row.Size(); ++p) {
-            crow.Append(coff + row.Indexes()[p], row.Values()[p]);
-          }
-        }
-        coff += m->Cols();
-      }
-    }
-    c.ExamSparsity(nnz);
-    return c;
-  }
+  // One row loop writes each output cell once; the output's nnz is the
+  // inputs' sum, so nothing rescans it to pick the format. Serial on
+  // purpose: cbind's hot caller is a parfor body whose workers already
+  // occupy every core.
   MatrixBlock c = MatrixBlock::Dense(rows, cols);
   for (int64_t r = 0; r < rows; ++r) {
     double* crow = c.DenseRow(r);
