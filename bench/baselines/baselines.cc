@@ -42,6 +42,38 @@ StatusOr<MatrixBlock> RidgeSolve(const MatrixBlock& xtx,
   return Solve(a, xty);
 }
 
+// One eager sweep: read X and y (read_threads 1: sequential parse, 0: the
+// system's parallel reader), compute t(X)X and t(X)y per model with the
+// given kernels (no cross-model reuse), solve, and write all models to one
+// CSV.
+template <typename Tsmm, typename Tlmm>
+StatusOr<SweepTimings> RunEagerSweep(const SweepWorkload& workload,
+                                     int read_threads, Tsmm tsmm, Tlmm tlmm) {
+  SweepTimings t;
+  Timer total;
+  Timer io;
+  FormatDescriptor csv = FormatDescriptor::Csv(',', false, read_threads);
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock x, io::Read(workload.x_csv, csv));
+  SYSDS_ASSIGN_OR_RETURN(MatrixBlock y, io::Read(workload.y_csv, csv));
+  t.io_seconds = io.ElapsedSeconds();
+
+  int threads = DefaultParallelism();
+  std::vector<MatrixBlock> models;
+  models.reserve(workload.lambdas.size());
+  for (double lambda : workload.lambdas) {
+    SYSDS_ASSIGN_OR_RETURN(MatrixBlock xtx, tsmm(x, threads));
+    SYSDS_ASSIGN_OR_RETURN(MatrixBlock xty, tlmm(x, y, threads));
+    t.matmults += 2;
+    SYSDS_ASSIGN_OR_RETURN(MatrixBlock b, RidgeSolve(xtx, xty, lambda));
+    models.push_back(std::move(b));
+  }
+  Timer io2;
+  SYSDS_RETURN_IF_ERROR(WriteModels(models, workload.out_csv));
+  t.io_seconds += io2.ElapsedSeconds();
+  t.total_seconds = total.ElapsedSeconds();
+  return t;
+}
+
 }  // namespace
 
 StatusOr<SweepTimings> RunSweepTF(const SweepWorkload& workload,
@@ -103,40 +135,25 @@ StatusOr<SweepTimings> RunSweepTF(const SweepWorkload& workload,
 }
 
 StatusOr<SweepTimings> RunSweepJulia(const SweepWorkload& workload) {
-  SweepTimings t;
-  Timer total;
-  Timer io;
-  SYSDS_ASSIGN_OR_RETURN(MatrixBlock x, ReadCsvSingleThreaded(workload.x_csv));
-  SYSDS_ASSIGN_OR_RETURN(MatrixBlock y, ReadCsvSingleThreaded(workload.y_csv));
-  t.io_seconds = io.ElapsedSeconds();
-
-  int threads = DefaultParallelism();
-  std::vector<MatrixBlock> models;
-  models.reserve(workload.lambdas.size());
   // Julia's X'X dispatches to fused native kernels (no materialized
   // transpose), but recomputes per model.
-  for (double lambda : workload.lambdas) {
-    SYSDS_ASSIGN_OR_RETURN(MatrixBlock xtx,
-                           TransposeSelfMatMult(x, true, threads));
-    SYSDS_ASSIGN_OR_RETURN(MatrixBlock xty,
-                           TransposeLeftMatMult(x, y, threads));
-    t.matmults += 2;
-    SYSDS_ASSIGN_OR_RETURN(MatrixBlock b, RidgeSolve(xtx, xty, lambda));
-    models.push_back(std::move(b));
-  }
-  Timer io2;
-  SYSDS_RETURN_IF_ERROR(WriteModels(models, workload.out_csv));
-  t.io_seconds += io2.ElapsedSeconds();
-  t.total_seconds = total.ElapsedSeconds();
-  return t;
+  return RunEagerSweep(
+      workload, /*read_threads=*/1,
+      [](const MatrixBlock& x, int threads) {
+        return TransposeSelfMatMult(x, /*left=*/true, threads);
+      },
+      TransposeLeftMatMult);
+}
+
+StatusOr<SweepTimings> RunSweepSysDSPortable(const SweepWorkload& workload) {
+  return RunEagerSweep(workload, /*read_threads=*/0, PortableTsmm,
+                       PortableTlmm);
 }
 
 StatusOr<SweepTimings> RunSweepSysDS(const SweepWorkload& workload,
-                                     bool native_blas, bool reuse) {
+                                     bool reuse) {
   SweepTimings t;
   Timer total;
-  GemmKernel prev = GetGemmKernel();
-  SetGemmKernel(native_blas ? GemmKernel::kNative : GemmKernel::kPortable);
 
   DMLConfig config;
   config.reuse_policy = reuse ? ReusePolicy::kPartial : ReusePolicy::kNone;
@@ -165,11 +182,92 @@ StatusOr<SweepTimings> RunSweepSysDS(const SweepWorkload& workload,
       "}\n"
       "write(B, '" + workload.out_csv + "')\n";
   auto result = ctx.Execute(script, Inputs(), Outputs::None());
-  SetGemmKernel(prev);
   if (!result.ok()) return result.status();
   t.total_seconds = total.ElapsedSeconds();
   t.matmults = 2 * static_cast<int64_t>(workload.lambdas.size());
   return t;
+}
+
+void PortableGemm(const double* a, const double* b, double* c, int64_t m,
+                  int64_t n, int64_t k) {
+  for (int64_t i = 0; i < m; ++i) {
+    const double* arow = a + i * k;
+    double* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (int64_t l = 0; l < k; ++l) sum += arow[l] * b[l * n + j];
+      crow[j] = sum;
+    }
+  }
+}
+
+StatusOr<MatrixBlock> PortableTsmm(const MatrixBlock& x, int num_threads) {
+  if (x.IsSparse()) return InvalidArgument("portable tsmm needs a dense X");
+  int64_t m = x.Rows(), n = x.Cols();
+  MatrixBlock c = MatrixBlock::Dense(n, n);
+  const double* px = x.DenseData();
+  double* pc = c.DenseData();
+  // Column p costs ~(n - p) cells of the upper triangle.
+  ThreadPool::Global().ParallelForWeighted(
+      0, n, PickChunks(n), [n](int64_t p) { return n - p; },
+      [&](int64_t pb, int64_t pe, int64_t) {
+        for (int64_t p = pb; p < pe; ++p) {
+          for (int64_t q = p; q < n; ++q) {
+            double sum = 0.0;
+            for (int64_t i = 0; i < m; ++i) {
+              sum += px[i * n + p] * px[i * n + q];
+            }
+            pc[p * n + q] = sum;
+          }
+        }
+      },
+      nullptr, num_threads);
+  // Mirror the upper triangle; row i writes only its cells [0, i).
+  ThreadPool::Global().ParallelFor(
+      0, n, PickChunks(n),
+      [&](int64_t rb, int64_t re) {
+        for (int64_t i = rb; i < re; ++i) {
+          for (int64_t j = 0; j < i; ++j) pc[i * n + j] = pc[j * n + i];
+        }
+      },
+      nullptr, num_threads);
+  c.MarkNnzDirty();
+  c.ExamSparsity();
+  return c;
+}
+
+StatusOr<MatrixBlock> PortableTlmm(const MatrixBlock& a, const MatrixBlock& b,
+                                   int num_threads) {
+  if (a.IsSparse() || b.IsSparse()) {
+    return InvalidArgument("portable t(A)%*%B needs dense A and B");
+  }
+  if (a.Rows() != b.Rows()) {
+    return InvalidArgument("t(A)%*%B dimension mismatch: " +
+                           std::to_string(a.Rows()) + " vs " +
+                           std::to_string(b.Rows()));
+  }
+  int64_t m = a.Rows(), n = a.Cols(), l = b.Cols();
+  MatrixBlock c = MatrixBlock::Dense(n, l);
+  const double* pa = a.DenseData();
+  const double* pb = b.DenseData();
+  double* pc = c.DenseData();
+  ThreadPool::Global().ParallelFor(
+      0, n, PickChunks(n),
+      [&](int64_t qb, int64_t qe) {
+        for (int64_t p = qb; p < qe; ++p) {
+          for (int64_t q = 0; q < l; ++q) {
+            double sum = 0.0;
+            for (int64_t i = 0; i < m; ++i) {
+              sum += pa[i * n + p] * pb[i * l + q];
+            }
+            pc[p * l + q] = sum;
+          }
+        }
+      },
+      nullptr, num_threads);
+  c.MarkNnzDirty();
+  c.ExamSparsity();
+  return c;
 }
 
 Status GenerateSweepData(int64_t rows, int64_t cols, double sparsity,

@@ -44,10 +44,31 @@ StatusOr<SweepTimings> RunSweepTF(const SweepWorkload& workload,
 StatusOr<SweepTimings> RunSweepJulia(const SweepWorkload& workload);
 
 /// SystemDS execution of the same workload through the DML stack
-/// (hyper-parameter sweep script using lmDS). `native_blas` selects the
-/// SysDS-B kernel; `reuse` enables lineage-based reuse of intermediates.
+/// (hyper-parameter sweep script using lmDS) on the system's dense matmult
+/// core (the paper's SysDS-B); `reuse` enables lineage-based reuse of
+/// intermediates.
 StatusOr<SweepTimings> RunSweepSysDS(const SweepWorkload& workload,
-                                     bool native_blas, bool reuse);
+                                     bool reuse);
+
+/// Fig. 5(a)'s "SysDS" column: an eager stand-in for SystemDS on its
+/// portable (Java) kernel. It reads the CSVs with the system's parallel
+/// reader and computes t(X)X and t(X)y per model with PortableTsmm and
+/// PortableTlmm, so it differs from SysDS-B only in the matmult kernel.
+StatusOr<SweepTimings> RunSweepSysDSPortable(const SweepWorkload& workload);
+
+/// The portable kernels: straightforward dot-product-ordered loop nests
+/// without tiling or SIMD, standing in for SystemDS's Java matmult, which
+/// "does not compile packed SIMD instructions" (§4.2).
+///
+/// C[m x n] = A[m x k] B[k x n], row-major, as per-cell dot products.
+void PortableGemm(const double* a, const double* b, double* c, int64_t m,
+                  int64_t n, int64_t k);
+/// t(X) %*% X for dense X: per-cell dot products over column-strided
+/// accesses, column-parallel on the global pool.
+StatusOr<MatrixBlock> PortableTsmm(const MatrixBlock& x, int num_threads);
+/// t(A) %*% B for dense A and B, column-parallel like PortableTsmm.
+StatusOr<MatrixBlock> PortableTlmm(const MatrixBlock& a, const MatrixBlock& b,
+                                   int num_threads);
 
 /// Generates and writes the synthetic sweep inputs (dense or sparse X with
 /// the given sparsity; y = X w + noise), returning the lambda grid.

@@ -1,7 +1,8 @@
 // Figure 5(b): baseline comparison on SPARSE data (sparsity 0.1). Expected
 // shape (paper): SysDS largely outperforms Julia and TF; TF pays a
 // materialized transpose per model (its sparse-dense matmul lacks a fused
-// call) while TF-G executes the transpose only once.
+// call) while TF-G executes the transpose only once. Exits non-zero when a
+// sweep fails.
 
 #include <cstdio>
 #include <filesystem>
@@ -31,6 +32,7 @@ int main() {
   PrintHeader(
       "Figure 5(b): baselines sparse (sparsity=0.1), end-to-end seconds",
       "k_models", {"TF", "TF-G", "Julia", "SysDS"});
+  bool failed = false;
   for (int k : scale.model_counts) {
     SweepWorkload w;
     w.x_csv = x_csv;
@@ -39,14 +41,21 @@ int main() {
     for (int i = 0; i < k; ++i) w.lambdas.push_back(0.001 * (i + 1));
     std::vector<double> row;
     auto record = [&](StatusOr<SweepTimings> t) {
-      row.push_back(t.ok() ? t->total_seconds : -1);
+      if (!t.ok()) {
+        std::fprintf(stderr, "run failed: %s\n",
+                     t.status().ToString().c_str());
+        failed = true;
+        row.push_back(-1);
+      } else {
+        row.push_back(t->total_seconds);
+      }
     };
     record(RunSweepTF(w, /*graph_mode=*/false));
     record(RunSweepTF(w, /*graph_mode=*/true));
     record(RunSweepJulia(w));
-    record(RunSweepSysDS(w, /*native_blas=*/true, /*reuse=*/false));
+    record(RunSweepSysDS(w, /*reuse=*/false));
     PrintRow(k, row);
   }
   std::filesystem::remove_all(dir);
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -37,8 +37,8 @@ int main() {
     w.y_csv = y_csv;
     w.out_csv = out_csv;
     for (int i = 0; i < k; ++i) w.lambdas.push_back(0.001 * (i + 1));
-    auto base = RunSweepSysDS(w, /*native_blas=*/true, /*reuse=*/false);
-    auto reuse = RunSweepSysDS(w, /*native_blas=*/true, /*reuse=*/true);
+    auto base = RunSweepSysDS(w, /*reuse=*/false);
+    auto reuse = RunSweepSysDS(w, /*reuse=*/true);
     if (!base.ok() || !reuse.ok()) {
       std::fprintf(stderr, "run failed\n");
       return 1;

@@ -1,12 +1,14 @@
 // Ablation A1 (§4.2 observation 2): dense GEMM kernel comparison — the
-// portable dot-product-ordered kernel (the stand-in for SystemDS's Java
-// matmult, which "does not compile packed SIMD instructions") vs. the
-// register-blocked SIMD core (SysDS-B / native BLAS path), which also
-// computes dense tsmm and tlmm. The paper reports the portable kernel ~2.1x
-// slower; also covers tsmm, sparse-dense, and transpose micro-kernels.
+// portable dot-product-ordered kernel of bench/baselines (PortableGemm, the
+// stand-in for SystemDS's Java matmult, which "does not compile packed SIMD
+// instructions") vs. the system's register-blocked SIMD core (SysDS-B /
+// native BLAS path), which also computes dense tsmm and tlmm. The paper
+// reports the portable kernel ~2.1x slower; also covers tsmm, sparse-dense,
+// and transpose micro-kernels.
 
 #include <benchmark/benchmark.h>
 
+#include "baselines/baselines.h"
 #include "bench/bench_common.h"
 #include "common/thread_pool.h"
 #include "runtime/matrix/lib_datagen.h"
@@ -32,12 +34,12 @@ MatrixBlock MakeSparse(int64_t rows, int64_t cols, double sparsity,
 void BM_GemmPortable(benchmark::State& state) {
   int64_t n = state.range(0);
   MatrixBlock a = MakeDense(n, n, 1), b = MakeDense(n, n, 2);
-  SetGemmKernel(GemmKernel::kPortable);
   for (auto _ : state) {
-    auto c = MatMult(a, b, 1);
-    benchmark::DoNotOptimize(c->DenseData());
+    MatrixBlock c = MatrixBlock::Dense(n, n);
+    PortableGemm(a.DenseData(), b.DenseData(), c.DenseData(), n, n, n);
+    benchmark::DoNotOptimize(c.DenseData());
+    benchmark::ClobberMemory();
   }
-  SetGemmKernel(GemmKernel::kNative);
   state.counters["GFLOP/s"] = benchmark::Counter(
       2.0 * n * n * n * state.iterations() / 1e9, benchmark::Counter::kIsRate);
 }
@@ -54,7 +56,6 @@ void BM_GemmNative(benchmark::State& state) {
     return;
   }
   MatrixBlock a = MakeDense(n, n, 1), b = MakeDense(n, n, 2);
-  SetGemmKernel(GemmKernel::kNative);
   for (auto _ : state) {
     if (threads == 1) {
       MatrixBlock c = MatrixBlock::Dense(n, n);

@@ -1,7 +1,6 @@
 #include "runtime/matrix/lib_matmult.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -11,7 +10,6 @@
 namespace sysds {
 
 namespace {
-std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kNative};
 
 inline bool AllFinite(const double* v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -177,9 +175,6 @@ constexpr int64_t kBlockN = 512;
 
 }  // namespace
 
-void SetGemmKernel(GemmKernel kernel) { g_gemm_kernel.store(kernel); }
-GemmKernel GetGemmKernel() { return g_gemm_kernel.load(); }
-
 namespace internal {
 
 bool IsaSupported(MatMultIsa isa) {
@@ -207,21 +202,6 @@ MatMultIsa SelectedIsa() {
     return MatMultIsa::kGeneric;
   }();
   return selected;
-}
-
-// Straightforward i-j-k (dot product) loop nest: strided accesses into B and
-// no register blocking — stands in for the portable Java kernel of §4.2.
-void GemmDensePortable(const double* a, const double* b, double* c,
-                       int64_t m, int64_t n, int64_t k) {
-  for (int64_t i = 0; i < m; ++i) {
-    const double* arow = a + i * k;
-    double* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      double sum = 0.0;
-      for (int64_t l = 0; l < k; ++l) sum += arow[l] * b[l * n + j];
-      crow[j] = sum;
-    }
-  }
 }
 
 void GemmDense(const double* a, const double* b, double* c, int64_t m,
@@ -289,11 +269,7 @@ void GemmDenseRows(const MatrixBlock& a, const MatrixBlock& b, MatrixBlock* c,
   int64_t n = b.Cols(), k = a.Cols();
   const double* pa = a.DenseData() + rbeg * k;
   double* pc = c->DenseData() + rbeg * n;
-  if (GetGemmKernel() == GemmKernel::kNative) {
-    internal::GemmDense(pa, b.DenseData(), pc, rend - rbeg, n, k);
-  } else {
-    internal::GemmDensePortable(pa, b.DenseData(), pc, rend - rbeg, n, k);
-  }
+  internal::GemmDense(pa, b.DenseData(), pc, rend - rbeg, n, k);
 }
 
 // C rows [rbeg,rend): sparse A times dense B.
@@ -407,6 +383,45 @@ void TreeReducePartials(std::vector<std::vector<double>>* partials,
   }
 }
 
+// Sums accumulate(rb, re, acc) over row chunks of [0, m) into a dense
+// rows x cols block. Each chunk adds its rows into its own zeroed partial;
+// the chunk count is bounded by the rows*cols scratch each chunk holds.
+// Chunks split on row nnz when `weights` (the input whose rows are split)
+// is sparse, on row count otherwise, and TreeReducePartials adds the
+// partials by chunk id, so the sum is bit-identical at any thread count.
+template <typename Accumulate>
+MatrixBlock SumRowChunks(int64_t m, int64_t rows, int64_t cols,
+                         const MatrixBlock& weights, Accumulate accumulate,
+                         obs::Histogram* imbalance, int num_threads) {
+  const int64_t len = rows * cols;
+  int64_t chunks = PickChunksBounded(m, len * 8);
+  std::vector<std::vector<double>> partials(static_cast<size_t>(chunks));
+  auto run = [&](int64_t rb, int64_t re, int64_t ci) {
+    std::vector<double>& acc = partials[static_cast<size_t>(ci)];
+    acc.assign(static_cast<size_t>(len), 0.0);
+    accumulate(rb, re, acc.data());
+  };
+  if (weights.IsSparse()) {
+    ThreadPool::Global().ParallelForWeighted(
+        0, m, chunks,
+        [&](int64_t i) { return weights.SparseData().Row(i).Size() + 1; },
+        run, imbalance, num_threads);
+  } else {
+    int64_t chunk_rows = (m + chunks - 1) / chunks;
+    ThreadPool::Global().ParallelFor(
+        0, m, chunks,
+        [&](int64_t rb, int64_t re) { run(rb, re, rb / chunk_rows); },
+        imbalance, num_threads);
+  }
+  TreeReducePartials(&partials, len, num_threads);
+  MatrixBlock c = MatrixBlock::Dense(rows, cols);
+  if (!partials.empty() && !partials[0].empty()) {
+    std::memcpy(c.DenseData(), partials[0].data(),
+                static_cast<size_t>(len) * sizeof(double));
+  }
+  return c;
+}
+
 }  // namespace
 
 StatusOr<MatrixBlock> MatMult(const MatrixBlock& a, const MatrixBlock& b,
@@ -491,82 +506,30 @@ StatusOr<MatrixBlock> TransposeSelfMatMult(const MatrixBlock& x, bool left,
     return c;
   }
 
-  // Left tsmm: C = t(X) %*% X, n x n symmetric.
-  // Portable kernel (§4.2: the non-SIMD Java-style path): per output cell
-  // dot products over column-strided accesses — cache-unfriendly like the
-  // unblocked reference implementation. Column p costs ~(n - p) cells.
-  if (!x.IsSparse() && GetGemmKernel() == GemmKernel::kPortable) {
-    int64_t m = x.Rows(), n = x.Cols();
-    MatrixBlock c = MatrixBlock::Dense(n, n);
-    const double* px = x.DenseData();
-    double* pc = c.DenseData();
-    ThreadPool::Global().ParallelForWeighted(
-        0, n, PickChunks(n), [n](int64_t p) { return n - p; },
-        [&](int64_t pb, int64_t pe, int64_t) {
-          for (int64_t p = pb; p < pe; ++p) {
-            for (int64_t q = p; q < n; ++q) {
-              double sum = 0.0;
-              for (int64_t i = 0; i < m; ++i) {
-                sum += px[i * n + p] * px[i * n + q];
-              }
-              pc[p * n + q] = sum;
+  // Left tsmm: C = t(X) %*% X, n x n symmetric. Each chunk of rows
+  // accumulates the upper triangle of t(X_chunk) %*% X_chunk (the dense core
+  // for dense X), which is then mirrored into the lower triangle.
+  int64_t m = x.Rows(), n = x.Cols();
+  MatrixBlock c = SumRowChunks(
+      m, n, n, x,
+      [&](int64_t rb, int64_t re, double* acc) {
+        if (!x.IsSparse()) {
+          internal::TsmmLeftDense(x.DenseRow(rb), acc, re - rb, n);
+          return;
+        }
+        for (int64_t i = rb; i < re; ++i) {
+          const SparseRow& row = x.SparseData().Row(i);
+          for (int64_t p = 0; p < row.Size(); ++p) {
+            double v = row.Values()[p];
+            double* arow = acc + row.Indexes()[p] * n;
+            for (int64_t q = p; q < row.Size(); ++q) {
+              arow[row.Indexes()[q]] += v * row.Values()[q];
             }
           }
-        },
-        Imbalance().tsmm, num_threads);
-    MirrorLowerTriangle(pc, n, num_threads);
-    c.MarkNnzDirty();
-    c.ExamSparsity();
-    return c;
-  }
-
-  // Native kernel: each chunk of rows accumulates the upper triangle of
-  // t(X_chunk) %*% X_chunk into its own partial (the dense core for dense X),
-  // and the partials are reduced deterministically by chunk id. The chunk
-  // count is bounded by the n*n scratch each chunk holds.
-  int64_t m = x.Rows(), n = x.Cols();
-  int64_t chunks = PickChunksBounded(m, n * n * 8);
-  std::vector<std::vector<double>> partials(
-      static_cast<size_t>(chunks), std::vector<double>());
-  auto accumulate = [&](int64_t rb, int64_t re, int64_t ci) {
-    std::vector<double>& acc = partials[static_cast<size_t>(ci)];
-    acc.assign(static_cast<size_t>(n * n), 0.0);
-    if (!x.IsSparse()) {
-      internal::TsmmLeftDense(x.DenseRow(rb), acc.data(), re - rb, n);
-    } else {
-      for (int64_t i = rb; i < re; ++i) {
-        const SparseRow& row = x.SparseData().Row(i);
-        for (int64_t p = 0; p < row.Size(); ++p) {
-          double v = row.Values()[p];
-          double* arow = acc.data() + row.Indexes()[p] * n;
-          for (int64_t q = p; q < row.Size(); ++q) {
-            arow[row.Indexes()[q]] += v * row.Values()[q];
-          }
         }
-      }
-    }
-  };
-  if (x.IsSparse()) {
-    ThreadPool::Global().ParallelForWeighted(
-        0, m, chunks,
-        [&](int64_t i) { return x.SparseData().Row(i).Size() + 1; },
-        accumulate, Imbalance().tsmm, num_threads);
-  } else {
-    int64_t chunk_rows = (m + chunks - 1) / chunks;
-    ThreadPool::Global().ParallelFor(
-        0, m, chunks,
-        [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        Imbalance().tsmm, num_threads);
-  }
-  TreeReducePartials(&partials, n * n, num_threads);
-  MatrixBlock c = MatrixBlock::Dense(n, n);
-  double* pc = c.DenseData();
-  if (!partials.empty() && !partials[0].empty()) {
-    std::memcpy(pc, partials[0].data(),
-                static_cast<size_t>(n * n) * sizeof(double));
-  }
-  // Mirror upper to lower triangle.
-  MirrorLowerTriangle(pc, n, num_threads);
+      },
+      Imbalance().tsmm, num_threads);
+  MirrorLowerTriangle(c.DenseData(), n, num_threads);
   c.MarkNnzDirty();
   c.ExamSparsity();
   return c;
@@ -580,106 +543,59 @@ StatusOr<MatrixBlock> TransposeLeftMatMult(const MatrixBlock& a,
                            std::to_string(a.Rows()) + " vs " +
                            std::to_string(b.Rows()));
   }
-  // Portable kernel: per-cell dot products over column-strided accesses.
-  if (!a.IsSparse() && !b.IsSparse() &&
-      GetGemmKernel() == GemmKernel::kPortable) {
-    int64_t m = a.Rows(), n = a.Cols(), l = b.Cols();
-    MatrixBlock c = MatrixBlock::Dense(n, l);
-    const double* pa = a.DenseData();
-    const double* pb = b.DenseData();
-    double* pc = c.DenseData();
-    ThreadPool::Global().ParallelFor(
-        0, n, PickChunks(n),
-        [&](int64_t qb, int64_t qe) {
-          for (int64_t p = qb; p < qe; ++p) {
-            for (int64_t q = 0; q < l; ++q) {
-              double sum = 0.0;
-              for (int64_t i = 0; i < m; ++i) {
-                sum += pa[i * n + p] * pb[i * l + q];
-              }
-              pc[p * l + q] = sum;
-            }
-          }
-        },
-        Imbalance().tlmm, num_threads);
-    c.MarkNnzDirty();
-    c.ExamSparsity();
-    return c;
-  }
-
-  // Native kernel: C = t(A) %*% B as a sum over shared rows (C += a_i b_i^T)
-  // with per-chunk n*l partials reduced deterministically by chunk id.
+  // C = t(A) %*% B as a sum over shared rows (C += a_i b_i^T).
   int64_t m = a.Rows(), n = a.Cols(), l = b.Cols();
-  int64_t chunks = PickChunksBounded(m, n * l * 8);
-  std::vector<std::vector<double>> partials(static_cast<size_t>(chunks));
-  auto accumulate = [&](int64_t rb, int64_t re, int64_t ci) {
-    std::vector<double>& acc = partials[static_cast<size_t>(ci)];
-    acc.assign(static_cast<size_t>(n * l), 0.0);
-    if (!a.IsSparse() && !b.IsSparse()) {
-      internal::TlmmDense(a.DenseRow(rb), b.DenseRow(rb), acc.data(), re - rb,
-                          n, l);
-      return;
-    }
-    for (int64_t i = rb; i < re; ++i) {
-      if (a.IsSparse() && !b.IsSparse()) {
-        const SparseRow& arow = a.SparseData().Row(i);
-        const double* brow = b.DenseRow(i);
-        for (int64_t p = 0; p < arow.Size(); ++p) {
-          double v = arow.Values()[p];
-          double* crow = acc.data() + arow.Indexes()[p] * l;
-          for (int64_t q = 0; q < l; ++q) crow[q] += v * brow[q];
+  MatrixBlock c = SumRowChunks(
+      m, n, l, a,
+      [&](int64_t rb, int64_t re, double* acc) {
+        if (!a.IsSparse() && !b.IsSparse()) {
+          internal::TlmmDense(a.DenseRow(rb), b.DenseRow(rb), acc, re - rb, n,
+                              l);
+          return;
         }
-      } else if (!a.IsSparse() && b.IsSparse()) {
-        const double* arow = a.DenseRow(i);
-        const SparseRow& brow = b.SparseData().Row(i);
-        // Unified zero-skip rule: skip a zero in A only when B's row i is
-        // finite everywhere (0 * Inf must stay NaN, like the dense kernels).
-        int brow_finite = -1;
-        for (int64_t p = 0; p < n; ++p) {
-          double v = arow[p];
-          if (v == 0.0) {
-            if (brow_finite < 0) {
-              brow_finite = AllFinite(brow.Values(), brow.Size()) ? 1 : 0;
+        for (int64_t i = rb; i < re; ++i) {
+          if (a.IsSparse() && !b.IsSparse()) {
+            const SparseRow& arow = a.SparseData().Row(i);
+            const double* brow = b.DenseRow(i);
+            for (int64_t p = 0; p < arow.Size(); ++p) {
+              double v = arow.Values()[p];
+              double* crow = acc + arow.Indexes()[p] * l;
+              for (int64_t q = 0; q < l; ++q) crow[q] += v * brow[q];
             }
-            if (brow_finite == 1) continue;
-          }
-          double* crow = acc.data() + p * l;
-          for (int64_t q = 0; q < brow.Size(); ++q) {
-            crow[brow.Indexes()[q]] += v * brow.Values()[q];
+          } else if (!a.IsSparse() && b.IsSparse()) {
+            const double* arow = a.DenseRow(i);
+            const SparseRow& brow = b.SparseData().Row(i);
+            // Unified zero-skip rule: skip a zero in A only when B's row i
+            // is finite everywhere (0 * Inf must stay NaN, like the dense
+            // kernels).
+            int brow_finite = -1;
+            for (int64_t p = 0; p < n; ++p) {
+              double v = arow[p];
+              if (v == 0.0) {
+                if (brow_finite < 0) {
+                  brow_finite = AllFinite(brow.Values(), brow.Size()) ? 1 : 0;
+                }
+                if (brow_finite == 1) continue;
+              }
+              double* crow = acc + p * l;
+              for (int64_t q = 0; q < brow.Size(); ++q) {
+                crow[brow.Indexes()[q]] += v * brow.Values()[q];
+              }
+            }
+          } else {
+            const SparseRow& arow = a.SparseData().Row(i);
+            const SparseRow& brow = b.SparseData().Row(i);
+            for (int64_t p = 0; p < arow.Size(); ++p) {
+              double v = arow.Values()[p];
+              double* crow = acc + arow.Indexes()[p] * l;
+              for (int64_t q = 0; q < brow.Size(); ++q) {
+                crow[brow.Indexes()[q]] += v * brow.Values()[q];
+              }
+            }
           }
         }
-      } else {
-        const SparseRow& arow = a.SparseData().Row(i);
-        const SparseRow& brow = b.SparseData().Row(i);
-        for (int64_t p = 0; p < arow.Size(); ++p) {
-          double v = arow.Values()[p];
-          double* crow = acc.data() + arow.Indexes()[p] * l;
-          for (int64_t q = 0; q < brow.Size(); ++q) {
-            crow[brow.Indexes()[q]] += v * brow.Values()[q];
-          }
-        }
-      }
-    }
-  };
-  if (a.IsSparse()) {
-    ThreadPool::Global().ParallelForWeighted(
-        0, m, chunks,
-        [&](int64_t i) { return a.SparseData().Row(i).Size() + 1; },
-        accumulate, Imbalance().tlmm, num_threads);
-  } else {
-    int64_t chunk_rows = (m + chunks - 1) / chunks;
-    ThreadPool::Global().ParallelFor(
-        0, m, chunks,
-        [&](int64_t rb, int64_t re) { accumulate(rb, re, rb / chunk_rows); },
-        Imbalance().tlmm, num_threads);
-  }
-  TreeReducePartials(&partials, n * l, num_threads);
-  MatrixBlock c = MatrixBlock::Dense(n, l);
-  double* pc = c.DenseData();
-  if (!partials.empty() && !partials[0].empty()) {
-    std::memcpy(pc, partials[0].data(),
-                static_cast<size_t>(n * l) * sizeof(double));
-  }
+      },
+      Imbalance().tlmm, num_threads);
   c.MarkNnzDirty();
   c.ExamSparsity();
   return c;

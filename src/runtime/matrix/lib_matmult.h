@@ -6,21 +6,6 @@
 
 namespace sysds {
 
-/// Selects the dense GEMM implementation, mirroring the paper's §4.2
-/// distinction between SystemDS's portable (Java) kernel and the native
-/// BLAS path (SysDS-B): kPortable is a straightforward dot-product-ordered
-/// loop nest without tiling (no "packed SIMD"); kNative is the
-/// register-blocked SIMD core shared by dense gemm, left tsmm and tlmm.
-/// Both give bit-identical results.
-enum class GemmKernel {
-  kPortable,
-  kNative,
-};
-
-/// Sets/gets the process-wide dense GEMM kernel (benchmarks toggle this).
-void SetGemmKernel(GemmKernel kernel);
-GemmKernel GetGemmKernel();
-
 /// C = A %*% B. Dispatches on the input formats (dense/sparse on either
 /// side); output rows are computed in parallel chunks. Inputs must satisfy
 /// a.Cols() == b.Rows(); violations return InvalidArgument.
@@ -53,11 +38,6 @@ enum class MatMultIsa {
 bool IsaSupported(MatMultIsa isa);
 /// The widest variant this host supports, chosen on first use.
 MatMultIsa SelectedIsa();
-
-/// The portable kernel (GemmKernel::kPortable): C[m x n] = A[m x k] B[k x n],
-/// row-major, as per-cell dot products.
-void GemmDensePortable(const double* a, const double* b, double* c,
-                       int64_t m, int64_t n, int64_t k);
 
 /// The dense core. Each adds its products to C in increasing order of the
 /// shared dimension, starting from the values already in C.

@@ -68,17 +68,6 @@ TEST(MatMultTest, DimensionMismatchRejected) {
   EXPECT_FALSE(MatMult(a, b, 1).ok());
 }
 
-TEST(MatMultTest, PortableAndNativeKernelsAgree) {
-  MatrixBlock a = Random(37, 53, 1.0, 3);
-  MatrixBlock b = Random(53, 29, 1.0, 4);
-  SetGemmKernel(GemmKernel::kPortable);
-  auto c1 = MatMult(a, b, 1);
-  SetGemmKernel(GemmKernel::kNative);
-  auto c2 = MatMult(a, b, 1);
-  ASSERT_TRUE(c1.ok() && c2.ok());
-  EXPECT_TRUE(c1->EqualsApprox(*c2, 1e-9));
-}
-
 class TsmmParamTest
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, double>> {
 };
@@ -110,20 +99,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 8, 0.1),
                       std::make_tuple(200, 20, 0.05),
                       std::make_tuple(5, 5, 1.0)));
-
-TEST(TsmmTest, PortableAndNativeKernelsAgree) {
-  MatrixBlock x = Random(83, 21, 1.0, 11);
-  MatrixBlock y = Random(83, 5, 1.0, 12);
-  SetGemmKernel(GemmKernel::kPortable);
-  auto t1 = TransposeSelfMatMult(x, true, 2);
-  auto m1 = TransposeLeftMatMult(x, y, 2);
-  SetGemmKernel(GemmKernel::kNative);
-  auto t2 = TransposeSelfMatMult(x, true, 2);
-  auto m2 = TransposeLeftMatMult(x, y, 2);
-  ASSERT_TRUE(t1.ok() && t2.ok() && m1.ok() && m2.ok());
-  EXPECT_TRUE(t1->EqualsApprox(*t2, 1e-9));
-  EXPECT_TRUE(m1->EqualsApprox(*m2, 1e-9));
-}
 
 TEST(TsmmTest, ResultIsSymmetric) {
   MatrixBlock x = Random(40, 12, 1.0, 7);

@@ -125,23 +125,19 @@ TEST(SchedulerTest, MatMultBitIdenticalAcrossThreadCounts) {
   as.ToSparse();
   MatrixBlock bs = Random(70, 90, 0.08, 4);
   bs.ToSparse();
-  for (GemmKernel kernel : {GemmKernel::kNative, GemmKernel::kPortable}) {
-    SetGemmKernel(kernel);
-    auto dense_ref = MatMult(ad, bd, 1);
-    auto sd_ref = MatMult(as, bd, 1);
-    auto ss_ref = MatMult(as, bs, 1);
-    ASSERT_TRUE(dense_ref.ok() && sd_ref.ok() && ss_ref.ok());
-    for (int t : kThreadCounts) {
-      auto dense = MatMult(ad, bd, t);
-      auto sd = MatMult(as, bd, t);
-      auto ss = MatMult(as, bs, t);
-      ASSERT_TRUE(dense.ok() && sd.ok() && ss.ok());
-      EXPECT_TRUE(BitIdentical(*dense_ref, *dense)) << "dense t=" << t;
-      EXPECT_TRUE(BitIdentical(*sd_ref, *sd)) << "sparse-dense t=" << t;
-      EXPECT_TRUE(BitIdentical(*ss_ref, *ss)) << "sparse-sparse t=" << t;
-    }
+  auto dense_ref = MatMult(ad, bd, 1);
+  auto sd_ref = MatMult(as, bd, 1);
+  auto ss_ref = MatMult(as, bs, 1);
+  ASSERT_TRUE(dense_ref.ok() && sd_ref.ok() && ss_ref.ok());
+  for (int t : kThreadCounts) {
+    auto dense = MatMult(ad, bd, t);
+    auto sd = MatMult(as, bd, t);
+    auto ss = MatMult(as, bs, t);
+    ASSERT_TRUE(dense.ok() && sd.ok() && ss.ok());
+    EXPECT_TRUE(BitIdentical(*dense_ref, *dense)) << "dense t=" << t;
+    EXPECT_TRUE(BitIdentical(*sd_ref, *sd)) << "sparse-dense t=" << t;
+    EXPECT_TRUE(BitIdentical(*ss_ref, *ss)) << "sparse-sparse t=" << t;
   }
-  SetGemmKernel(GemmKernel::kNative);
 }
 
 TEST(SchedulerTest, TsmmAndTlmmBitIdenticalAcrossThreadCounts) {
@@ -149,25 +145,28 @@ TEST(SchedulerTest, TsmmAndTlmmBitIdenticalAcrossThreadCounts) {
   MatrixBlock xs = Random(200, 40, 0.1, 6);
   xs.ToSparse();
   MatrixBlock bd = Random(200, 30, 1.0, 7);
-  for (GemmKernel kernel : {GemmKernel::kNative, GemmKernel::kPortable}) {
-    SetGemmKernel(kernel);
-    for (const MatrixBlock* x : {&xd, &xs}) {
-      auto left_ref = TransposeSelfMatMult(*x, true, 1);
-      auto right_ref = TransposeSelfMatMult(*x, false, 1);
-      auto tlmm_ref = TransposeLeftMatMult(*x, bd, 1);
-      ASSERT_TRUE(left_ref.ok() && right_ref.ok() && tlmm_ref.ok());
-      for (int t : kThreadCounts) {
-        auto left = TransposeSelfMatMult(*x, true, t);
-        auto right = TransposeSelfMatMult(*x, false, t);
-        auto tlmm = TransposeLeftMatMult(*x, bd, t);
-        ASSERT_TRUE(left.ok() && right.ok() && tlmm.ok());
-        EXPECT_TRUE(BitIdentical(*left_ref, *left)) << "tsmm-left t=" << t;
-        EXPECT_TRUE(BitIdentical(*right_ref, *right)) << "tsmm-right t=" << t;
-        EXPECT_TRUE(BitIdentical(*tlmm_ref, *tlmm)) << "tlmm t=" << t;
-      }
+  MatrixBlock bs = Random(200, 30, 0.1, 10);
+  bs.ToSparse();
+  for (const MatrixBlock* x : {&xd, &xs}) {
+    auto left_ref = TransposeSelfMatMult(*x, true, 1);
+    auto right_ref = TransposeSelfMatMult(*x, false, 1);
+    auto tlmm_ref = TransposeLeftMatMult(*x, bd, 1);
+    auto tlmm_sparse_ref = TransposeLeftMatMult(*x, bs, 1);
+    ASSERT_TRUE(left_ref.ok() && right_ref.ok() && tlmm_ref.ok() &&
+                tlmm_sparse_ref.ok());
+    for (int t : kThreadCounts) {
+      auto left = TransposeSelfMatMult(*x, true, t);
+      auto right = TransposeSelfMatMult(*x, false, t);
+      auto tlmm = TransposeLeftMatMult(*x, bd, t);
+      auto tlmm_sparse = TransposeLeftMatMult(*x, bs, t);
+      ASSERT_TRUE(left.ok() && right.ok() && tlmm.ok() && tlmm_sparse.ok());
+      EXPECT_TRUE(BitIdentical(*left_ref, *left)) << "tsmm-left t=" << t;
+      EXPECT_TRUE(BitIdentical(*right_ref, *right)) << "tsmm-right t=" << t;
+      EXPECT_TRUE(BitIdentical(*tlmm_ref, *tlmm)) << "tlmm t=" << t;
+      EXPECT_TRUE(BitIdentical(*tlmm_sparse_ref, *tlmm_sparse))
+          << "tlmm sparse-B t=" << t;
     }
   }
-  SetGemmKernel(GemmKernel::kNative);
 }
 
 TEST(SchedulerTest, AggregatesBitIdenticalAcrossThreadCounts) {
