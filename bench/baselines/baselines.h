@@ -52,8 +52,9 @@ StatusOr<SweepTimings> RunSweepSysDS(const SweepWorkload& workload,
 
 /// Fig. 5(a)'s "SysDS" column: an eager stand-in for SystemDS on its
 /// portable (Java) kernel. It reads the CSVs with the system's parallel
-/// reader and computes t(X)X and t(X)y per model with PortableTsmm and
-/// PortableTlmm, so it differs from SysDS-B only in the matmult kernel.
+/// reader, as SysDS-B does, and computes t(X)X and t(X)y per model with
+/// PortableTsmm and PortableTlmm. It runs eagerly (built like the Julia
+/// stand-in), so it also skips SysDS-B's DML compile and dispatch.
 StatusOr<SweepTimings> RunSweepSysDSPortable(const SweepWorkload& workload);
 
 /// The portable kernels: straightforward dot-product-ordered loop nests

@@ -75,7 +75,9 @@ int main(int argc, char** argv) {
     auto native = io::Read(native_csv, FormatDescriptor::Csv());
     if (!portable.ok() || !native.ok() ||
         !portable->EqualsApprox(*native, 1e-9)) {
-      std::fprintf(stderr, "k=%d: SysDS and SysDS-B models differ or are missing\n", k);
+      std::fprintf(stderr,
+                   "k=%d: SysDS and SysDS-B models differ or are missing\n",
+                   k);
       failed = true;
     }
   }
